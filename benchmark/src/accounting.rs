@@ -182,100 +182,43 @@ impl Ledger {
     }
 }
 
-/// A ledger reading taken at a slice boundary of a measured window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mark {
-    pub elapsed_s: f64,
-    pub ok: u64,
-    pub latencies: usize,
-    /// Host-wide CPU ticks the hypervisor has stolen so far.
-    pub steal_ticks: u64,
-}
-
-/// What one slice of a measured window saw.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Slice {
+/// What one measured window saw: how long it lasted, and the round trips
+/// of its OK, bit-exact replies.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Window {
     pub secs: f64,
-    /// OK, bit-exact replies settled in the slice.
-    pub ok: u64,
-    /// Their round trips, microseconds.
     pub latencies_us: Vec<f64>,
-    /// CPU ticks stolen by the hypervisor during the slice.
-    pub steal_ticks: u64,
 }
 
-/// Cuts a window into the slices between consecutive `marks`; `latencies`
-/// is the ledger's settle-ordered latency record.
-pub fn slices(marks: &[Mark], latencies: &[f64]) -> Vec<Slice> {
-    marks
-        .windows(2)
-        .map(|w| Slice {
-            secs: w[1].elapsed_s - w[0].elapsed_s,
-            ok: w[1].ok - w[0].ok,
-            latencies_us: latencies[w[0].latencies..w[1].latencies].to_vec(),
-            steal_ticks: w[1].steal_ticks.saturating_sub(w[0].steal_ticks),
-        })
-        .collect()
-}
-
-/// The slices the hypervisor disturbed least: those with at most the
-/// median count of stolen ticks, so at least half of them. On a quiet host
-/// that is every slice.
-pub fn quietest_half(slices: &[Slice]) -> Vec<&Slice> {
-    let steals: Vec<f64> = slices.iter().map(|s| s.steal_ticks as f64).collect();
-    let Some(cut) = median(&steals) else {
-        return Vec::new();
-    };
-    slices
-        .iter()
-        .filter(|s| s.steal_ticks as f64 <= cut)
-        .collect()
-}
-
-/// The slices of one or more measured windows. Every figure pools the
-/// [`quietest_half`] of them: throughput is their replies over their time,
-/// and the percentiles are taken over all their round trips together.
-/// Pooling, rather than a median over per-slice figures, keeps the tail
-/// steady when slices fall into two modes, as they do on the 2-core host
-/// when the serving threads move between sharing a core and not.
-#[derive(Default)]
-pub struct Slices(pub Vec<Slice>);
-
-impl Slices {
+impl Window {
     /// OK, bit-exact replies per second.
     pub fn rps(&self) -> f64 {
-        let quiet = quietest_half(&self.0);
-        let ok: u64 = quiet.iter().map(|s| s.ok).sum();
-        let secs: f64 = quiet.iter().map(|s| s.secs).sum();
-        ok as f64 / secs
+        self.latencies_us.len() as f64 / self.secs
     }
 
     /// Nearest-rank percentile `p` of the round trips, microseconds.
     pub fn latency_us(&self, p: f64) -> f64 {
-        let mut pooled: Vec<f64> = quietest_half(&self.0)
-            .iter()
-            .flat_map(|s| s.latencies_us.iter().copied())
-            .collect();
-        pooled.sort_by(f64::total_cmp);
-        nearest_rank(&pooled, p).unwrap_or(f64::NAN)
+        let mut sorted = self.latencies_us.clone();
+        sorted.sort_by(f64::total_cmp);
+        nearest_rank(&sorted, p).unwrap_or(f64::NAN)
     }
 }
 
-/// The sessions of a run, one [`Slices`] each. Every figure is the median
+/// The sessions of a run, one [`Window`] each. Every figure is the median
 /// of the sessions' figures, so a few seconds of a noisy host spoil a few
 /// sessions, not the run.
 #[derive(Default)]
-pub struct Sessions(pub Vec<Slices>);
+pub struct Sessions(pub Vec<Window>);
 
 impl Sessions {
-    fn median_of(&self, f: impl Fn(&Slices) -> f64) -> f64 {
+    fn median_of(&self, f: impl Fn(&Window) -> f64) -> f64 {
         let v: Vec<f64> = self.0.iter().map(f).collect();
         median(&v).unwrap_or(f64::NAN)
     }
 
     /// OK, bit-exact replies per second.
     pub fn rps(&self) -> f64 {
-        self.median_of(Slices::rps)
+        self.median_of(Window::rps)
     }
 
     /// Nearest-rank percentile `p` of the round trips, microseconds.
@@ -364,40 +307,24 @@ mod tests {
     }
 
     #[test]
-    fn slices_split_at_marks_and_pool_the_quietest_half() {
-        let mark = |elapsed_s, ok, latencies, steal_ticks| Mark {
-            elapsed_s,
-            ok,
-            latencies,
-            steal_ticks,
+    fn window_rates_and_percentiles() {
+        let w = Window {
+            secs: 2.0,
+            latencies_us: vec![20.0, 5.0, 400.0, 1.0, 10.0, 3.0],
         };
-        let lat = [5.0, 1.0, 3.0, 10.0, 20.0, 400.0];
-        let marks = [
-            mark(0.0, 0, 0, 0),
-            mark(0.5, 3, 3, 2),
-            mark(1.0, 5, 5, 2),
-            mark(2.0, 6, 6, 9),
-        ];
-        let all = Slices(slices(&marks, &lat));
-        assert_eq!(all.0.len(), 3);
-        assert_eq!(all.0[1].latencies_us, vec![10.0, 20.0]);
-        assert_eq!(all.0[2].steal_ticks, 7);
-        // steals 2, 0, 7: the median is 2, so the third slice is dropped
-        assert_eq!(all.rps(), 5.0);
-        assert_eq!(all.latency_us(50.0), 5.0);
-        assert_eq!(all.latency_us(99.0), 20.0);
-        assert!(Slices::default().latency_us(50.0).is_nan());
+        assert_eq!(w.rps(), 3.0);
+        // sorted 1, 3, 5, 10, 20, 400: rank ceil(0.5 · 6) = 3
+        assert_eq!(w.latency_us(50.0), 5.0);
+        assert_eq!(w.latency_us(90.0), 400.0);
+        assert_eq!(w.latency_us(80.0), 20.0);
+        assert!(Window::default().latency_us(50.0).is_nan());
     }
 
     #[test]
     fn sessions_take_the_median_session() {
-        let session = |ok, latency| {
-            Slices(vec![Slice {
-                secs: 1.0,
-                ok,
-                latencies_us: vec![latency],
-                steal_ticks: 0,
-            }])
+        let session = |ok, latency| Window {
+            secs: 1.0,
+            latencies_us: vec![latency; ok],
         };
         // one stalled session out of three does not move the figures
         let s = Sessions(vec![
@@ -406,25 +333,8 @@ mod tests {
             session(110, 48.0),
         ]);
         assert_eq!(s.rps(), 100.0);
-        assert_eq!(s.latency_us(99.0), 50.0);
+        assert_eq!(s.latency_us(90.0), 50.0);
         assert!(Sessions::default().rps().is_nan());
-    }
-
-    #[test]
-    fn quietest_half_keeps_slices_at_or_under_the_median_steal() {
-        let slice = |ok, steal_ticks| Slice {
-            secs: 1.0,
-            ok,
-            latencies_us: Vec::new(),
-            steal_ticks,
-        };
-        let all = [slice(1, 0), slice(2, 9), slice(3, 1), slice(4, 5)];
-        let kept: Vec<u64> = quietest_half(&all).iter().map(|s| s.ok).collect();
-        assert_eq!(kept, vec![1, 3]);
-        // a quiet host: nothing is dropped
-        let calm = [slice(1, 0), slice(2, 0), slice(3, 0)];
-        assert_eq!(quietest_half(&calm).len(), 3);
-        assert!(quietest_half(&[]).is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! for the workloads, the metrics and the layer each one belongs to.
 //!
 //! ```text
-//! cocktail-e2e-bench --workload <pipeline|serve-lockstep|serve-pipelined>
+//! cocktail-e2e-bench --workload <pipeline|serve-pipelined>
 //!     --seed <n> --seconds <n> --trace <0|1> --server-bin <path>
 //! ```
 //!
@@ -25,7 +25,7 @@ use cocktail_serve::engine::{Engine, EngineConfig};
 use cocktail_serve::loadgen::{expected_control, generate_states};
 use cocktail_serve::ControllerBundle;
 use probe::{child_cpu_s, cpu_per_wall, AggSink};
-use serving::{closed_loop, first_ok, EngineLink, LoopRun, ServerProc, SocketLink};
+use serving::{closed_loop, first_ok, EngineLink, LoopRun, PinnedThread, ServerProc, SocketLink};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -34,29 +34,14 @@ use std::time::{Duration, Instant};
 pub const TUNING_SEED: u64 = 1;
 pub const HELD_OUT_SEED: u64 = 2;
 
-/// Expert constructions the `pipeline` workload times; the median is its
-/// `setup_s`.
-const SETUP_REPEATS: u32 = 5;
-/// Server starts a serving workload splits its window over, one session
-/// each; the median start is its `setup_s`. Sessions of one run differ by
-/// about 9% in throughput (what each process settles into at start), and
-/// the median of ten is steady.
-const SERVE_SESSIONS: u32 = 10;
-/// The `pipeline` workload's serving figures: one session of this length
-/// after each arc, spread over the run like the arcs.
-const PIPELINE_SESSION: Duration = Duration::from_millis(500);
-/// Sessions of the `pipeline` workload's traced run, about as many as its
-/// arcs give it untraced.
-const TRACED_PIPELINE_SESSIONS: u32 = 4;
-/// Arcs a serving workload runs for its pipeline figures (the `pipeline`
-/// workload runs arcs for its whole `--seconds`, and at least this many).
-const SERVING_ARCS: usize = 4;
 /// Distinct request states a serving run cycles through.
 const PROBES: usize = 4096;
 /// Requests in flight on the pipelined connection.
 const PIPELINED_WINDOW: usize = 64;
 /// Unmeasured closed-loop traffic before each measured window.
 const WARMUP: Duration = Duration::from_millis(300);
+/// Serving sessions of a traced run's untraced baseline.
+const TRACED_SESSIONS: u32 = 4;
 /// Serving time of each half of a traced run's overhead comparison.
 const SHORT_SERVE: Duration = Duration::from_secs(2);
 /// Time per single-layer probe in a traced run.
@@ -65,7 +50,6 @@ const LAYER_BUDGET: Duration = Duration::from_millis(500);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
     Pipeline,
-    ServeLockstep,
     ServePipelined,
 }
 
@@ -73,10 +57,9 @@ impl Workload {
     fn parse(s: &str) -> Result<Self, String> {
         match s {
             "pipeline" => Ok(Self::Pipeline),
-            "serve-lockstep" => Ok(Self::ServeLockstep),
             "serve-pipelined" => Ok(Self::ServePipelined),
             other => Err(format!(
-                "unknown workload `{other}` (pipeline, serve-lockstep, serve-pipelined)"
+                "unknown workload `{other}` (pipeline, serve-pipelined)"
             )),
         }
     }
@@ -84,16 +67,26 @@ impl Workload {
     fn name(self) -> &'static str {
         match self {
             Self::Pipeline => "pipeline",
-            Self::ServeLockstep => "serve-lockstep",
             Self::ServePipelined => "serve-pipelined",
         }
     }
 
-    /// Requests kept in flight on the serving connection.
+    /// Requests kept in flight on the serving connection: one plant in
+    /// lockstep, or a gateway's pipelined window.
     fn window(self) -> usize {
         match self {
-            Self::Pipeline | Self::ServeLockstep => 1,
+            Self::Pipeline => 1,
             Self::ServePipelined => PIPELINED_WINDOW,
+        }
+    }
+
+    /// Measured serving time of the session that follows each arc: the
+    /// `pipeline` workload spends about a fifth of its run serving, the
+    /// serving workload about a third.
+    fn session(self) -> Duration {
+        match self {
+            Self::Pipeline => Duration::from_secs(1),
+            Self::ServePipelined => Duration::from_secs(2),
         }
     }
 }
@@ -279,6 +272,8 @@ fn start_server(
 /// Everything the socket sessions of a run measured.
 #[derive(Default)]
 struct Served {
+    /// The CPU every session runs on ([`serving::serving_cpu`]).
+    cpu: usize,
     sessions: Sessions,
     spawn_s: Vec<f64>,
     transport: String,
@@ -289,7 +284,8 @@ struct Served {
 }
 
 impl Served {
-    /// Starts a server with its shipped defaults, keeps the workload's
+    /// Starts a server with its shipped defaults, confines it and this
+    /// thread to the serving CPU once it has answered, keeps the workload's
     /// window of requests in flight on one connection for `duration`, and
     /// stops it.
     fn session(
@@ -303,6 +299,8 @@ impl Served {
         let (server, secs) = start_server(args, bundle, None, &probes[0])?;
         self.spawn_s.push(secs);
         self.transport.clone_from(&server.transport);
+        server.pin(self.cpu)?;
+        let _pinned = PinnedThread::to(self.cpu)?;
         let mut link = SocketLink::connect(server.addr)?;
         let (cpu0, t) = (child_cpu_s(server.pid()), Instant::now());
         let run = serve_window(report, &mut link, probes, args.workload.window(), duration)?;
@@ -312,7 +310,13 @@ impl Served {
         }
         self.attempted += run.ledger.attempted();
         self.failed += run.ledger.failures().total();
-        self.sessions.0.push(run.slices);
+        eprintln!(
+            "session: start {secs:.3}s rps {:.0} p50 {:.1}us p90 {:.1}us",
+            run.window.rps(),
+            run.window.latency_us(50.0),
+            run.window.latency_us(90.0)
+        );
+        self.sessions.0.push(run.window);
         Ok(())
     }
 }
@@ -320,8 +324,8 @@ impl Served {
 fn run(args: &Args) -> Result<Report, String> {
     let work = WorkDir::create(args)?;
     let bundle_path = work.0.join("kappa_star.bundle.json");
-    let pipeline = args.workload == Workload::Pipeline;
     let window = args.workload.window();
+    let start = Instant::now();
     let mut r = Report::default();
     r.note_str("workload", args.workload.name());
     r.note("seed", args.seed);
@@ -335,19 +339,18 @@ fn run(args: &Args) -> Result<Report, String> {
     );
 
     // ---- the arc: experts → admitted, certified bundle on disk
-    let mut expert_s = Vec::new();
-    let mut experts = Vec::new();
-    for _ in 0..if pipeline { SETUP_REPEATS } else { 1 } {
-        let t = Instant::now();
-        experts = arc::experts();
-        expert_s.push(t.elapsed().as_secs_f64());
-    }
+    let t = Instant::now();
+    let experts = arc::experts();
+    let mut expert_s = vec![t.elapsed().as_secs_f64()];
     let first = arc::run_arc(&experts, &bundle_path, None)?;
     first.log();
     r.arcs += 1;
     r.attempted += 1;
     let probes = probes_of(&first.admitted.bundle, args.seed)?;
-    let mut served = Served::default();
+    let mut served = Served {
+        cpu: serving::serving_cpu()?,
+        ..Served::default()
+    };
     let mut pipeline_s = vec![first.pipeline_s()];
     let mut certify_s = first.certify_samples().to_vec();
     let sinks = ArcSinks::default();
@@ -359,22 +362,31 @@ fn run(args: &Args) -> Result<Report, String> {
         r.arc_repeat(&first, &untraced);
         pipeline_s = vec![untraced.pipeline_s()];
         traced_arc = Some(traced);
-    } else {
-        // the pipeline workload spends its run on arcs, each followed by a
-        // short serving session; the serving workloads run a fixed few
-        let budget = Duration::from_secs(if pipeline { args.seconds } else { 0 });
-        let start = Instant::now();
-        if pipeline {
-            served.session(&mut r, args, &bundle_path, &probes, PIPELINE_SESSION)?;
+        for _ in 0..TRACED_SESSIONS {
+            served.session(
+                &mut r,
+                args,
+                &bundle_path,
+                &probes,
+                SHORT_SERVE / TRACED_SESSIONS,
+            )?;
         }
-        while pipeline_s.len() < SERVING_ARCS || start.elapsed() < budget {
+    } else {
+        // the run is a sequence of cycles, each a fresh expert
+        // construction, an arc and a serving session on a fresh server, so
+        // every figure samples the whole run and a slow spell of the host
+        // spoils a few samples of each, not one figure
+        let budget = Duration::from_secs(args.seconds);
+        served.session(&mut r, args, &bundle_path, &probes, args.workload.session())?;
+        while start.elapsed() < budget {
+            let t = Instant::now();
+            let experts = arc::experts();
+            expert_s.push(t.elapsed().as_secs_f64());
             let again = arc::run_arc(&experts, &bundle_path, None)?;
             r.arc_repeat(&first, &again);
             pipeline_s.push(again.pipeline_s());
             certify_s.extend_from_slice(&again.certify_samples());
-            if pipeline {
-                served.session(&mut r, args, &bundle_path, &probes, PIPELINE_SESSION)?;
-            }
+            served.session(&mut r, args, &bundle_path, &probes, args.workload.session())?;
         }
     }
     r.note("arcs", r.arcs);
@@ -390,34 +402,16 @@ fn run(args: &Args) -> Result<Report, String> {
         ),
     );
     let (safe_rate, energy) = arc::robustness(&first.student, args.seed);
-
-    // ---- the serving workloads' window, one session per server start; a
-    // traced run serves 2 s in as many sessions as its workload would
-    if !pipeline || args.trace {
-        let sessions = if pipeline {
-            TRACED_PIPELINE_SESSIONS
-        } else {
-            SERVE_SESSIONS
-        };
-        let serve_for = if args.trace {
-            SHORT_SERVE
-        } else {
-            Duration::from_secs(args.seconds)
-        };
-        for _ in 0..sessions {
-            served.session(&mut r, args, &bundle_path, &probes, serve_for / sessions)?;
-        }
-    }
     r.note_str("transport", &served.transport);
     r.note("sessions", served.sessions.0.len());
 
     if !args.trace {
         let alive = first.cert.invariant_alive as f64 / first.cert.invariant_cells.max(1) as f64;
-        r.metric(
-            "setup_s",
-            med(if pipeline { &expert_s } else { &served.spawn_s }),
-            "s",
-        );
+        let setup_s = match args.workload {
+            Workload::Pipeline => &expert_s,
+            Workload::ServePipelined => &served.spawn_s,
+        };
+        r.metric("setup_s", med(setup_s), "s");
         r.metric("pipeline_s", med(&pipeline_s), "s");
         r.metric("certify_s", med(&certify_s), "s");
         r.metric("safe_rate_pct", safe_rate, "%");
@@ -425,7 +419,7 @@ fn run(args: &Args) -> Result<Report, String> {
         r.metric("invariant_dead_pct", 100.0 * (1.0 - alive), "%");
         r.metric("rps", served.sessions.rps(), "1/s");
         r.metric("p50_us", served.sessions.latency_us(50.0), "us");
-        r.metric("p99_us", served.sessions.latency_us(99.0), "us");
+        r.metric("p90_us", served.sessions.latency_us(90.0), "us");
         return Ok(r);
     }
 
@@ -433,6 +427,8 @@ fn run(args: &Args) -> Result<Report, String> {
     let traced = traced_arc.ok_or("traced arc missing")?;
     let tel_path = work.0.join("serve.telemetry.jsonl");
     let (traced_server, _) = start_server(args, &bundle_path, Some(&tel_path), &probes[0])?;
+    traced_server.pin(served.cpu)?;
+    let pinned = PinnedThread::to(served.cpu)?;
     let mut link = SocketLink::connect(traced_server.addr)?;
     let served_traced = serve_window(&mut r, &mut link, &probes, window, SHORT_SERVE)?;
     drop(link);
@@ -440,14 +436,16 @@ fn run(args: &Args) -> Result<Report, String> {
     let batches = serving::batch_stats(&tel_path)?;
     let _ = std::fs::remove_file(&tel_path);
 
-    // the in-process engine on the reactor's reply path, same window
+    // the in-process engine on the reactor's reply path, same window and
+    // CPU (its shard worker inherits the pinned thread's confinement)
     let engine = Engine::start(&first.admitted, EngineConfig::default())
         .map_err(|e| format!("engine: {e}"))?;
     let mut link = EngineLink::new(engine.handle().pinned(0));
     let in_process = serve_window(&mut r, &mut link, &probes, window, SHORT_SERVE)?;
     drop(link);
     engine.shutdown();
-    let engine_p50 = in_process.slices.latency_us(50.0);
+    drop(pinned);
+    let engine_p50 = in_process.window.latency_us(50.0);
 
     let net = first.student.network();
     let mean_batch = batches.rows_mean.round().max(1.0) as usize;
@@ -473,7 +471,7 @@ fn run(args: &Args) -> Result<Report, String> {
     );
     r.metric(
         "serve.transport_residual_us",
-        served_traced.slices.latency_us(50.0) - engine_p50,
+        served_traced.window.latency_us(50.0) - engine_p50,
         "us",
     );
     r.metric("serve.batch_rows_mean", batches.rows_mean, "rows");
@@ -490,12 +488,12 @@ fn run(args: &Args) -> Result<Report, String> {
     );
     r.metric(
         "trace.overhead_p50_us",
-        served_traced.slices.latency_us(50.0) - served.sessions.latency_us(50.0),
+        served_traced.window.latency_us(50.0) - served.sessions.latency_us(50.0),
         "us",
     );
     r.metric(
         "trace.overhead_rps",
-        served_traced.slices.rps() - served.sessions.rps(),
+        served_traced.window.rps() - served.sessions.rps(),
         "1/s",
     );
     r.metric(

@@ -56,19 +56,6 @@ pub fn child_cpu_s(pid: u32) -> Option<f64> {
     (ticks > 0).then(|| (utime + stime) / ticks as f64)
 }
 
-/// Host-wide CPU ticks stolen by the hypervisor so far (the `steal`
-/// column of `/proc/stat`); 0 where the kernel does not report it.
-pub fn steal_ticks() -> u64 {
-    std::fs::read_to_string("/proc/stat")
-        .ok()
-        .and_then(|stat| {
-            // cpu user nice system idle iowait irq softirq steal ...
-            let first = stat.lines().next()?.to_owned();
-            first.split_whitespace().nth(8)?.parse().ok()
-        })
-        .unwrap_or(0)
-}
-
 /// Totals of one span name.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SpanTotal {

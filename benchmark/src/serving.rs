@@ -2,8 +2,7 @@
 //! socket client, an in-process engine link, and one closed-loop client
 //! that keeps a fixed window of requests in flight over either link.
 
-use crate::accounting::{slices, Ledger, Mark, Probe, Slices};
-use crate::probe::steal_ticks;
+use crate::accounting::{Ledger, Probe, Window};
 use cocktail_obs::{Event, EventKind, FieldValue};
 use cocktail_serve::engine::{Outbox, PinnedHandle};
 use cocktail_serve::wire::{
@@ -19,14 +18,102 @@ use std::time::{Duration, Instant};
 
 extern "C" {
     fn prctl(option: i32, ...) -> i32;
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
 }
 
 const PR_SET_PDEATHSIG: i32 = 1;
 const SIGKILL: u64 = 9;
+/// "No such process": the thread named has ended.
+const ESRCH: i32 = 3;
 
 /// How long a link may stay silent with requests in flight before the
 /// client gives up on them (they then count as lost).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A `cpu_set_t`: one bit per CPU, 1024 CPUs.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct CpuSet([u64; 16]);
+
+impl CpuSet {
+    fn only(cpu: usize) -> Self {
+        let mut set = Self([0; 16]);
+        set.0[cpu / 64] = 1 << (cpu % 64);
+        set
+    }
+
+    /// The affinity mask of thread `tid` (0: the calling thread).
+    fn of(tid: i32) -> Result<Self, String> {
+        let mut set = Self([0; 16]);
+        // SAFETY: `set` is a writable cpu_set_t of the size passed, and it
+        // outlives the call.
+        let rc = unsafe { sched_getaffinity(tid, std::mem::size_of::<Self>(), &mut set) };
+        if rc == 0 {
+            Ok(set)
+        } else {
+            Err(format!(
+                "sched_getaffinity: {}",
+                std::io::Error::last_os_error()
+            ))
+        }
+    }
+
+    /// Confines thread `tid` (0: the calling thread) to this set.
+    fn apply(&self, tid: i32) -> std::io::Result<()> {
+        // SAFETY: `self` is a readable cpu_set_t of the size passed, and it
+        // outlives the call.
+        let rc = unsafe { sched_setaffinity(tid, std::mem::size_of::<Self>(), self) };
+        if rc == 0 {
+            Ok(())
+        } else {
+            Err(std::io::Error::last_os_error())
+        }
+    }
+}
+
+/// The CPU a serving session runs on: the lowest one the calling thread
+/// may use.
+///
+/// A session confines the client and every thread of the server to this
+/// one CPU, so each hand-off between the client, the reactor and the shard
+/// worker is a context switch on that CPU. Spread over two vCPUs of a
+/// shared host, each hand-off is a wake-up of an idle vCPU instead, which
+/// the hypervisor schedules: measured on the 2-vCPU host, that is about
+/// half of a lockstep round trip, and during a neighbour's busy spell it
+/// cuts lockstep throughput 2-4x for minutes at a time.
+pub fn serving_cpu() -> Result<usize, String> {
+    let set = CpuSet::of(0)?;
+    set.0
+        .iter()
+        .enumerate()
+        .find(|(_, word)| **word != 0)
+        .map(|(i, word)| i * 64 + word.trailing_zeros() as usize)
+        .ok_or_else(|| "the calling thread may run on no CPU".into())
+}
+
+/// Confines the calling thread to one CPU; dropping it restores the
+/// thread's previous mask. Threads the calling thread starts meanwhile
+/// inherit the confinement.
+pub struct PinnedThread(CpuSet);
+
+impl PinnedThread {
+    pub fn to(cpu: usize) -> Result<Self, String> {
+        let saved = CpuSet::of(0)?;
+        CpuSet::only(cpu)
+            .apply(0)
+            .map_err(|e| format!("sched_setaffinity: {e}"))?;
+        Ok(Self(saved))
+    }
+}
+
+impl Drop for PinnedThread {
+    fn drop(&mut self) {
+        if let Err(e) = self.0.apply(0) {
+            eprintln!("restore CPU affinity: {e}");
+        }
+    }
+}
 
 /// A running `cocktail-serve serve` process with its shipped defaults.
 /// Dropping it kills the process and waits for it to end.
@@ -90,6 +177,27 @@ impl ServerProc {
 
     pub fn pid(&self) -> u32 {
         self.child.id()
+    }
+
+    /// Confines every thread of the running server to `cpu`.
+    pub fn pin(&self, cpu: usize) -> Result<(), String> {
+        let tasks = format!("/proc/{}/task", self.pid());
+        let entries = std::fs::read_dir(&tasks).map_err(|e| format!("read {tasks}: {e}"))?;
+        let only = CpuSet::only(cpu);
+        for entry in entries {
+            let entry = entry.map_err(|e| format!("read {tasks}: {e}"))?;
+            let tid: i32 = entry
+                .file_name()
+                .to_string_lossy()
+                .parse()
+                .map_err(|_| format!("{tasks}: unexpected entry {:?}", entry.file_name()))?;
+            match only.apply(tid) {
+                // the thread ended since the directory was read
+                Err(e) if e.raw_os_error() == Some(ESRCH) => {}
+                r => r.map_err(|e| format!("sched_setaffinity of thread {tid}: {e}"))?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -248,16 +356,10 @@ impl Link for EngineLink {
     }
 }
 
-/// Length of the slices a measured window is cut into. The figures pool
-/// the slices the hypervisor disturbed least ([`Slices`]), so a
-/// neighbour's burst on a shared host costs a few slices, not the run.
-/// 200 ms holds about 4000 lockstep round trips, 40 of them beyond the p99.
-const SLICE: Duration = Duration::from_millis(200);
-
 /// What a closed-loop run measured.
 pub struct LoopRun {
     pub ledger: Ledger,
-    pub slices: Slices,
+    pub window: Window,
 }
 
 /// Keeps `window` requests in flight on `link` for `duration` (a closed
@@ -272,30 +374,9 @@ pub fn closed_loop(
     let mut ledger = Ledger::new();
     let mut replies = Vec::with_capacity(window.max(1));
     let mut next = 0usize;
-    let slice = SLICE.min(duration);
-    let slice_count = u32::try_from(duration.as_nanos() / slice.as_nanos().max(1))
-        .unwrap_or(u32::MAX)
-        .max(1);
-    let mut marks = vec![Mark {
-        elapsed_s: 0.0,
-        ok: 0,
-        latencies: 0,
-        steal_ticks: steal_ticks(),
-    }];
     let start = Instant::now();
     let deadline = start + duration;
     loop {
-        let boundary = u32::try_from(marks.len()).unwrap_or(u32::MAX);
-        let elapsed = start.elapsed();
-        if boundary <= slice_count && elapsed >= slice * boundary {
-            marks.push(Mark {
-                elapsed_s: elapsed.as_secs_f64(),
-                ok: ledger.ok(),
-                latencies: ledger.latencies_us().len(),
-                steal_ticks: steal_ticks(),
-            });
-        }
-        // read the clock again: the mark's /proc read is not a round trip
         let now = Instant::now();
         if now < deadline {
             let room = window.saturating_sub(ledger.in_flight());
@@ -321,18 +402,11 @@ pub fn closed_loop(
             ledger.settle(rec, at, probes);
         }
     }
-    if marks.len() <= slice_count as usize {
-        // the window ended between the last boundary check and the clock
-        // read that closed it: the final slice ends here
-        marks.push(Mark {
-            elapsed_s: start.elapsed().as_secs_f64(),
-            ok: ledger.ok(),
-            latencies: ledger.latencies_us().len(),
-            steal_ticks: steal_ticks(),
-        });
-    }
     Ok(LoopRun {
-        slices: Slices(slices(&marks, ledger.latencies_us())),
+        window: Window {
+            secs: start.elapsed().as_secs_f64(),
+            latencies_us: ledger.latencies_us().to_vec(),
+        },
         ledger,
     })
 }
@@ -466,7 +540,7 @@ mod tests {
         assert_eq!(f.total(), 2);
         assert_eq!(run.ledger.ok(), run.ledger.attempted());
         assert_eq!(run.ledger.in_flight(), 0);
-        assert!(run.slices.rps() > 0.0);
+        assert!(run.window.rps() > 0.0);
     }
 
     #[test]
