@@ -54,13 +54,6 @@ fn main() {
         report.forward.speedup
     );
     println!(
-        "forward  {:>18} samples/s fast-tanh ({:.2}x) | {:>18} samples/s f32 ({:.2}x)",
-        fmt(report.forward.fast_tanh_samples_per_sec),
-        report.forward.fast_tanh_speedup,
-        fmt(report.forward.f32_samples_per_sec),
-        report.forward.f32_speedup
-    );
-    println!(
         "train    {:>18} samples/s per-sample | {:>18} samples/s batched ({:.2}x)",
         fmt(report.train_step.per_sample_samples_per_sec),
         fmt(report.train_step.batched_samples_per_sec),

@@ -5,9 +5,7 @@
 //!
 //! 1. **Forward throughput** — per-sample [`cocktail_nn::Mlp::forward`]
 //!    versus [`cocktail_nn::Mlp::forward_batch_cached`] at batch 64 on the
-//!    Table-1 student shape (2-24-24-1), in samples/second, plus the two
-//!    certified fast serving tiers (Padé fast-tanh and the `f32`
-//!    quantized kernel) measured over the same batch;
+//!    Table-1 student shape (2-24-24-1), in samples/second;
 //! 2. **Rollout throughput** — Monte-Carlo evaluation of a stabilizing
 //!    controller on the Van der Pol oscillator with 1 worker versus the
 //!    machine's full worker count, in episodes/second;
@@ -61,12 +59,14 @@ use std::time::Instant;
 /// (p99/p999), and the 1-versus-4 shard aggregate throughputs with
 /// `shard_speedup`; serving throughput moved to the zero-deadline
 /// batching policy.
-/// v5: the `forward` section grew the certified fast-tier arms
-/// (`fast_tanh_samples_per_sec`, `f32_samples_per_sec`) with their
-/// speedups over the per-sample exact path.
+/// v5: the `forward` section grew the certified fast-tier arms (Padé
+/// tanh and `f32` throughputs) with their speedups over the per-sample
+/// exact path.
 /// v6: the `verify` section (full safety-certification wall time with
 /// partition size and verdict) was added.
-pub const SCHEMA_VERSION: u32 = 6;
+/// v7: the fast-tier arms left the `forward` section with the fast
+/// serving tiers themselves.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// One repeated timing: the median across repeats and the relative
 /// spread `(max - min) / median`.
@@ -166,18 +166,8 @@ pub struct ForwardBench {
     pub per_sample_samples_per_sec: Measurement,
     /// `forward_batch_cached` throughput in samples/second.
     pub batched_samples_per_sec: Measurement,
-    /// Batched throughput with the certified Padé fast-tanh kernel
-    /// (`ForwardKernel::FastTanh`), in samples/second.
-    pub fast_tanh_samples_per_sec: Measurement,
-    /// Batched throughput of the `f32`-quantized tier (`MlpF32`), in
-    /// samples/second.
-    pub f32_samples_per_sec: Measurement,
-    /// Batched over per-sample median throughput (both exact).
+    /// Batched over per-sample median throughput.
     pub speedup: f64,
-    /// Fast-tanh batched over per-sample exact median throughput.
-    pub fast_tanh_speedup: f64,
-    /// `f32` batched over per-sample exact median throughput.
-    pub f32_speedup: f64,
 }
 
 /// Batched-versus-per-sample training-step (forward + backward) throughput.
@@ -403,42 +393,14 @@ pub fn bench_forward(config: &PerfConfig) -> ForwardBench {
         samples / t.elapsed().as_secs_f64()
     });
 
-    // fast tiers: same batched loop, reduced-precision kernels. Their
-    // outputs carry a certified error bound rather than bit-identity, so
-    // the bench only keeps them finite; the equivalence tests live in
-    // cocktail-nn / cocktail-serve.
-    let fast_tanh = measure(config.repeats, || {
-        let t = Instant::now();
-        for _ in 0..reps {
-            net.forward_batch_cached_kernel(&x, &mut cache, cocktail_nn::ForwardKernel::FastTanh);
-            sink += cache.output().row(0)[0];
-        }
-        samples / t.elapsed().as_secs_f64()
-    });
-
-    let net32 = cocktail_nn::MlpF32::quantize(&net).expect("tanh net quantizes");
-    let mut out32 = Matrix::zeros(batch, 1);
-    let mut cache32 = cocktail_nn::BatchCacheF32::new();
-    let f32_tier = measure(config.repeats, || {
-        let t = Instant::now();
-        for _ in 0..reps {
-            net32.forward_batch_into(&x, &mut out32, &mut cache32);
-            sink += out32.row(0)[0];
-        }
-        samples / t.elapsed().as_secs_f64()
-    });
     assert!(sink.is_finite(), "benchmark outputs must stay finite");
 
     ForwardBench {
         shape: "2-24-24-1".to_string(),
         batch,
         speedup: batched.median / per_sample.median,
-        fast_tanh_speedup: fast_tanh.median / per_sample.median,
-        f32_speedup: f32_tier.median / per_sample.median,
         per_sample_samples_per_sec: per_sample,
         batched_samples_per_sec: batched,
-        fast_tanh_samples_per_sec: fast_tanh,
-        f32_samples_per_sec: f32_tier,
     }
 }
 
@@ -883,11 +845,6 @@ fn measurements(report: &PerfReport) -> Vec<(&'static str, Measurement)> {
         ),
         ("forward.batched", report.forward.batched_samples_per_sec),
         (
-            "forward.fast_tanh",
-            report.forward.fast_tanh_samples_per_sec,
-        ),
-        ("forward.f32", report.forward.f32_samples_per_sec),
-        (
             "train_step.per_sample",
             report.train_step.per_sample_samples_per_sec,
         ),
@@ -948,11 +905,6 @@ pub fn validate(report: &PerfReport) -> Result<(), String> {
     }
     for (name, v) in [
         ("forward.speedup", report.forward.speedup),
-        (
-            "forward.fast_tanh_speedup",
-            report.forward.fast_tanh_speedup,
-        ),
-        ("forward.f32_speedup", report.forward.f32_speedup),
         ("train_step.speedup", report.train_step.speedup),
         ("rollout.speedup", report.rollout.speedup),
         ("telemetry.overhead_ratio", report.telemetry.overhead_ratio),
@@ -1079,8 +1031,6 @@ mod tests {
         for m in [
             &mut quiet.forward.per_sample_samples_per_sec,
             &mut quiet.forward.batched_samples_per_sec,
-            &mut quiet.forward.fast_tanh_samples_per_sec,
-            &mut quiet.forward.f32_samples_per_sec,
             &mut quiet.train_step.per_sample_samples_per_sec,
             &mut quiet.train_step.batched_samples_per_sec,
             &mut quiet.rollout.serial_episodes_per_sec,
@@ -1095,6 +1045,7 @@ mod tests {
             &mut quiet.serve.batch32_requests_per_sec,
             &mut quiet.serve.shard1_requests_per_sec,
             &mut quiet.serve.shard4_requests_per_sec,
+            &mut quiet.verify.certify_ms,
         ] {
             m.spread = 0.0;
         }

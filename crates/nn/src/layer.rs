@@ -1,7 +1,6 @@
 //! Dense (fully-connected) layers.
 
 use crate::activation::Activation;
-use crate::fast::ForwardKernel;
 use cocktail_math::{Interval, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -141,27 +140,6 @@ impl Dense {
         a: &mut Matrix,
         scratch: &mut Vec<f64>,
     ) {
-        self.forward_batch_into_with_kernel(x, z, a, scratch, ForwardKernel::Exact);
-    }
-
-    /// [`Dense::forward_batch_into_with`] with an explicit activation
-    /// kernel. [`ForwardKernel::Exact`] is bit-identical to the per-sample
-    /// path; [`ForwardKernel::FastTanh`] substitutes
-    /// [`crate::fast::fast_tanh`] for `Tanh` activations only (bounded by
-    /// [`crate::fast::FAST_TANH_EPS`] per unit), leaving the GEMM and every
-    /// other activation exact.
-    ///
-    /// # Panics
-    ///
-    /// As [`Dense::forward_batch_into`].
-    pub fn forward_batch_into_with_kernel(
-        &self,
-        x: &Matrix,
-        z: &mut Matrix,
-        a: &mut Matrix,
-        scratch: &mut Vec<f64>,
-        kernel: ForwardKernel,
-    ) {
         assert_eq!(x.cols(), self.input_dim(), "input dimension mismatch");
         x.matmul_transpose_b_into_with(&self.weights, z, scratch);
         let width = self.output_dim();
@@ -171,17 +149,8 @@ impl Dense {
             }
         }
         assert_eq!(a.shape(), z.shape(), "activation scratch shape mismatch");
-        match (kernel, self.activation) {
-            (ForwardKernel::FastTanh, Activation::Tanh) => {
-                for (ai, &zi) in a.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    *ai = crate::fast::fast_tanh(zi);
-                }
-            }
-            _ => {
-                for (ai, &zi) in a.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    *ai = self.activation.apply(zi);
-                }
-            }
+        for (ai, &zi) in a.as_mut_slice().iter_mut().zip(z.as_slice()) {
+            *ai = self.activation.apply(zi);
         }
     }
 

@@ -1,7 +1,6 @@
 //! Multi-layer perceptrons.
 
 use crate::activation::Activation;
-use crate::fast::ForwardKernel;
 use crate::layer::Dense;
 use crate::optimizer::GradStore;
 use cocktail_math::{BoxRegion, Interval, Matrix};
@@ -319,27 +318,6 @@ impl Mlp {
     ///
     /// Panics if `x.cols() != self.input_dim()`.
     pub fn forward_batch_cached(&self, x: &Matrix, cache: &mut BatchCache) {
-        self.forward_batch_cached_kernel(x, cache, ForwardKernel::Exact);
-    }
-
-    /// [`Mlp::forward_batch_cached`] with an explicit activation kernel.
-    ///
-    /// [`ForwardKernel::Exact`] is the default contract (bit-identical to
-    /// per-sample [`Mlp::forward`]); [`ForwardKernel::FastTanh`] serves the
-    /// fast tier: same GEMM, [`crate::fast::fast_tanh`] in place of `tanh`,
-    /// every output within the bundle's certified fast-tier error of the
-    /// exact result. Training and admission re-derivation must stay on
-    /// `Exact`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.input_dim()`.
-    pub fn forward_batch_cached_kernel(
-        &self,
-        x: &Matrix,
-        cache: &mut BatchCache,
-        kernel: ForwardKernel,
-    ) {
         assert_eq!(x.cols(), self.input_dim(), "input dimension mismatch");
         cache.prepare(self, x.rows());
         let input_finite = x.as_slice().iter().all(|v| v.is_finite());
@@ -349,12 +327,11 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             let (head, tail) = cache.activations.split_at_mut(i + 1);
             let a = &mut tail[0];
-            layer.forward_batch_into_with_kernel(
+            layer.forward_batch_into_with(
                 &head[i],
                 &mut cache.pre_activations[i],
                 a,
                 &mut cache.weight_scratch,
-                kernel,
             );
             debug_assert!(
                 !input_finite

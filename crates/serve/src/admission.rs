@@ -6,16 +6,14 @@
 //! bound is recomputed from the shipped weights and compared against the
 //! bundle's claim, a fresh seeded empirical sweep over the bundle's
 //! input domain checks that the claim actually dominates observed slopes,
-//! the fast-tier (reduced-precision kernel) error certificate is
-//! re-derived from the shipped weights and compared field by field, and
-//! the formal safety certificate — Bernstein enclosure, closed-loop
+//! and the formal safety certificate — Bernstein enclosure, closed-loop
 //! reachability, control-invariant set — is re-derived from the shipped
 //! weights, the plant spec and the embedded verification budgets, then
 //! compared field by field (wall-clock excluded: it is a metric, not a
 //! claim). A bundle that fails any of these never reaches the engine; a
-//! bundle that ships *no* safety certificate (a version-2 artifact, or a
-//! student whose certification exhausted its budget at export) is refused
-//! as uncertified unless the operator opts in.
+//! bundle that ships *no* safety certificate (stripped, or a student
+//! whose certification exhausted its budget at export) is refused as
+//! uncertified unless the operator opts in.
 
 use crate::bundle::{BundleError, ControllerBundle};
 use cocktail_analysis::{AnalysisReport, Analyzer, PreflightMode};
@@ -39,9 +37,9 @@ pub struct AdmissionConfig {
     /// Relative tolerance when comparing the recomputed certified bound
     /// against the bundle's claim (absorbs cross-platform libm jitter).
     pub claim_tolerance: f64,
-    /// Admit bundles that carry no formal safety certificate (version-2
-    /// artifacts, or students whose certification exhausted its budget at
-    /// export). Off by default: an uncertified controller is refused with
+    /// Admit bundles that carry no formal safety certificate (stripped,
+    /// or students whose certification exhausted its budget at export).
+    /// Off by default: an uncertified controller is refused with
     /// [`AdmissionError::Uncertified`]. When on, the bundle is admitted
     /// and the reason it is uncertified is recorded in the evidence. A
     /// *present but wrong* certificate is always refused regardless.
@@ -88,13 +86,6 @@ pub enum AdmissionError {
         /// Largest observed slope.
         observed: f64,
     },
-    /// The shipped fast-tier certificate disagrees with the one admission
-    /// re-derives from the shipped weights — the claimed reduced-precision
-    /// error bounds cannot be trusted, so no fast kernel may serve.
-    FastTierMismatch {
-        /// What disagreed.
-        detail: String,
-    },
     /// The shipped safety certificate disagrees with the one admission
     /// re-derives from the shipped weights, plant spec and embedded
     /// budgets — or its budgets exceed the admission ceilings, or the
@@ -116,8 +107,8 @@ pub enum AdmissionError {
     /// The bundle carries no safety certificate at all and the config does
     /// not allow uncertified controllers.
     Uncertified {
-        /// Why the bundle is uncertified (format predates certification,
-        /// or the certificate was omitted at export).
+        /// Why the bundle is uncertified (the certificate was stripped, or
+        /// omitted at export).
         reason: String,
     },
     /// The controller cannot be served against this plant (wrong family,
@@ -145,9 +136,6 @@ impl fmt::Display for AdmissionError {
                 "Lipschitz claim violated: fresh sweep observed slope {observed} \
                  above the claimed bound {claimed}"
             ),
-            AdmissionError::FastTierMismatch { detail } => {
-                write!(f, "fast-tier certificate mismatch: {detail}")
-            }
             AdmissionError::SafetyMismatch { detail } => {
                 write!(f, "safety certificate mismatch: {detail}")
             }
@@ -262,7 +250,6 @@ fn kind_of(e: &AdmissionError) -> &'static str {
         AdmissionError::LintDenied { .. } => "lint-denied",
         AdmissionError::ClaimMismatch { .. } => "claim-mismatch",
         AdmissionError::ClaimViolated { .. } => "claim-violated",
-        AdmissionError::FastTierMismatch { .. } => "fast-tier-mismatch",
         AdmissionError::SafetyMismatch { .. } => "safety-mismatch",
         AdmissionError::SafetyViolated { .. } => "safety-violated",
         AdmissionError::Uncertified { .. } => "uncertified",
@@ -367,41 +354,6 @@ fn run_checks(
         });
     }
 
-    // ---- fast-tier certificate: re-derive the reduced-precision error
-    // bounds from the shipped weights (the derivation is deterministic,
-    // so any disagreement means the claim or the weights were altered)
-    let rederived = cocktail_nn::certify_fast_tier(net, &bundle.input_domain);
-    match (&bundle.fast_tier, &rederived) {
-        (Some(claimed), Some(fresh)) => {
-            if !fresh.matches(claimed, tol.max(1e-9)) {
-                return Err(AdmissionError::FastTierMismatch {
-                    detail: format!(
-                        "shipped bounds (ft {:?}, f32 {:?}) != re-derived (ft {:?}, f32 {:?})",
-                        claimed.fast_tanh_output_error,
-                        claimed.f32_output_error,
-                        fresh.fast_tanh_output_error,
-                        fresh.f32_output_error
-                    ),
-                });
-            }
-        }
-        (Some(_), None) => {
-            return Err(AdmissionError::FastTierMismatch {
-                detail: "bundle ships a fast-tier certificate but the shipped weights \
-                         do not admit one"
-                    .into(),
-            });
-        }
-        (None, Some(_)) => {
-            return Err(AdmissionError::FastTierMismatch {
-                detail: "shipped weights admit a fast-tier certificate but the bundle \
-                         omits it"
-                    .into(),
-            });
-        }
-        (None, None) => {}
-    }
-
     // ---- safety certificate: re-derive the full formal loop (Bernstein
     // enclosure, closed-loop reachability, control-invariant set) from the
     // shipped weights, the plant spec and the *shipped* budgets, and
@@ -446,16 +398,9 @@ fn run_checks(
             }
         }
         None => {
-            let reason = if bundle.version < crate::bundle::BUNDLE_VERSION {
-                format!(
-                    "bundle format v{} predates safety certification",
-                    bundle.version
-                )
-            } else {
-                "bundle omits a safety certificate (certification exhausted its \
-                 budget at export, or the certificate was stripped)"
-                    .to_string()
-            };
+            let reason = "bundle omits a safety certificate (certification exhausted its \
+                          budget at export, or the certificate was stripped)"
+                .to_string();
             if !config.allow_uncertified {
                 return Err(AdmissionError::Uncertified { reason });
             }
@@ -476,7 +421,7 @@ fn run_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::tests_support::{healthy_bundle, v2_bundle};
+    use crate::bundle::tests_support::{edited_bundle_json, healthy_bundle, set_field};
     use cocktail_analysis::ControllerSpec;
     use cocktail_core::SystemId;
     use cocktail_obs::InMemorySink;
@@ -538,31 +483,6 @@ mod tests {
         }
         let err = admit(b).expect_err("refused");
         assert!(matches!(err, AdmissionError::ClaimMismatch { .. }), "{err}");
-    }
-
-    #[test]
-    fn tampered_fast_tier_cert_is_refused() {
-        let mut b = healthy_bundle();
-        let cert = b.fast_tier.as_mut().expect("tanh student has a cert");
-        // understate the f32 quantization error claim by half: the serving
-        // tier would then promise tighter outputs than the weights deliver
-        cert.f32_output_error[0] *= 0.5;
-        let err = admit(b).expect_err("refused");
-        assert!(
-            matches!(err, AdmissionError::FastTierMismatch { .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn stripped_fast_tier_cert_is_refused() {
-        let mut b = healthy_bundle();
-        b.fast_tier = None;
-        let err = admit(b).expect_err("refused");
-        assert!(
-            matches!(err, AdmissionError::FastTierMismatch { .. }),
-            "{err}"
-        );
     }
 
     #[test]
@@ -633,14 +553,30 @@ mod tests {
         );
     }
 
+    /// Writes `json` to a scratch file and loads it as a bundle.
+    fn load_json(tag: &str, json: &str) -> Result<ControllerBundle, BundleError> {
+        let path = std::env::temp_dir().join(format!(
+            "cocktail-serve-admission-{tag}-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, json).expect("writable");
+        let loaded = ControllerBundle::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
     #[test]
     fn stripped_safety_cert_is_uncertified_unless_allowed() {
-        let mut b = healthy_bundle();
-        b.safety = None;
+        let json = edited_bundle_json(|fields| set_field(fields, "safety", serde::Value::Null));
+        assert!(json.contains("\"safety\": null"), "{json}");
+        let b = load_json("stripped", &json).expect("a null certificate loads");
+        assert_eq!(b.version, crate::bundle::BUNDLE_VERSION);
+        assert_eq!(b.safety, None);
+        let names_cause = |reason: &str| reason.contains("stripped") && reason.contains("budget");
+
         let err = admit(b.clone()).expect_err("refused by default");
         assert!(
-            matches!(&err, AdmissionError::Uncertified { reason }
-                if reason.contains("omits")),
+            matches!(&err, AdmissionError::Uncertified { reason } if names_cause(reason)),
             "{err}"
         );
 
@@ -651,27 +587,46 @@ mod tests {
         let admitted = admit_with(b, &cfg, &NullSink).expect("admitted under opt-in");
         assert_eq!(admitted.safety, None);
         let reason = admitted.uncertified_reason.expect("reason recorded");
-        assert!(reason.contains("omits"), "{reason}");
+        assert!(names_cause(&reason), "{reason}");
     }
 
     #[test]
-    fn v2_bundles_are_uncertified_with_a_version_reason() {
-        let b = v2_bundle();
-        let tel = InMemorySink::new();
-        let err = admit_with(b.clone(), &AdmissionConfig::default(), &tel).expect_err("refused");
-        assert!(
-            matches!(&err, AdmissionError::Uncertified { reason }
-                if reason.contains("v2") && reason.contains("predates")),
-            "{err}"
-        );
-        assert_eq!(tel.counter_total("serve.admission_refusals"), 1);
+    fn v3_files_load_and_admit() {
+        // the shape format version 3 wrote: the retired fast-tier
+        // certificate beside the safety certificate
+        let legacy_key = "fast_tier";
+        let json = edited_bundle_json(|fields| {
+            set_field(fields, "version", serde::Serialize::to_value(&3u32));
+            let cert: serde::Value =
+                serde_json::from_str(r#"{"f32_output_error": [0.001]}"#).expect("parses");
+            set_field(fields, legacy_key, cert);
+        });
+        assert!(json.contains(legacy_key), "{json}");
+        let b = load_json("v3", &json).expect("v3 file loads");
+        assert_eq!(b.version, 3);
+        let admitted = admit(b).expect("v3 file admitted");
+        assert!(admitted.safety.is_some());
+        assert_eq!(admitted.uncertified_reason, None);
+    }
 
-        let cfg = AdmissionConfig {
+    #[test]
+    fn v2_bundles_are_refused_with_and_without_allow_uncertified() {
+        let mut b = healthy_bundle();
+        b.version = 2;
+        b.safety = None;
+        let lenient = AdmissionConfig {
             allow_uncertified: true,
             ..AdmissionConfig::default()
         };
-        let admitted = admit_with(b, &cfg, &NullSink).expect("admitted under opt-in");
-        let reason = admitted.uncertified_reason.expect("reason recorded");
-        assert!(reason.contains("predates"), "{reason}");
+        for cfg in [AdmissionConfig::default(), lenient] {
+            let tel = InMemorySink::new();
+            let err = admit_with(b.clone(), &cfg, &tel).expect_err("refused");
+            assert!(
+                matches!(&err, AdmissionError::Bundle(BundleError::Format(msg))
+                    if msg.contains("version 2")),
+                "{err}"
+            );
+            assert_eq!(tel.counter_total("serve.admission_refusals"), 1);
+        }
     }
 }

@@ -36,7 +36,7 @@ use cocktail_serve::loadgen::{self, LoadGenConfig, LoadReport, WireProtocol};
 use cocktail_serve::{
     admit_with, load_recorded, shadow_replay, AdmissionConfig, BinaryTcpClient, ControlClient,
     ControllerBundle, DriftConfig, Engine, EngineConfig, EngineHandle, Provenance, RolloutAction,
-    RolloutBudget, RolloutConfig, RolloutError, ServeTier, Server,
+    RolloutBudget, RolloutConfig, RolloutError, Server,
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -106,7 +106,7 @@ fn usage() -> String {
                    [--seed N] [--wire json|binary]\n\
      smoke         --bundle <path> [--requests N] [--connections N] [--seed N]\n\
                    [--wire json|binary] [--telemetry <jsonl>] [--max-batch N]\n\
-                   [--deadline-us N] [--capacity N] [--shards N] [--tier exact|fast-tanh|f32]\n\
+                   [--deadline-us N] [--capacity N] [--shards N]\n\
                    [--transport reactor|threaded]\n\
      replay       --telemetry <jsonl> --incumbent <path> --candidate <path>\n\
                    [--max-divergence X] [--max-envelope-violations N]\n\
@@ -176,16 +176,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     } else {
         None
     };
-    let tier = match args.get("tier").unwrap_or("exact") {
-        "exact" => ServeTier::Exact,
-        "fast-tanh" => ServeTier::FastTanh,
-        "f32" => ServeTier::F32,
-        other => {
-            return Err(format!(
-                "--tier must be exact, fast-tanh or f32, got `{other}`"
-            ))
-        }
-    };
     Ok(EngineConfig {
         max_batch: args.parsed("max-batch", defaults.max_batch)?,
         batch_deadline: Duration::from_micros(args.parsed(
@@ -196,7 +186,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
         start_paused: false,
         shards: args.parsed("shards", defaults.shards)?,
         drift,
-        tier,
     })
 }
 
@@ -337,14 +326,7 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
     let bundle = load_bundle(args)?;
     bundle.validate().map_err(|e| e.to_string())?;
     let Some(shipped) = &bundle.safety else {
-        let reason = if bundle.version < cocktail_serve::BUNDLE_VERSION {
-            format!(
-                "bundle format v{} predates safety certification",
-                bundle.version
-            )
-        } else {
-            "bundle omits a safety certificate".to_string()
-        };
+        let reason = "bundle omits a safety certificate";
         if args.parsed("allow-uncertified", false)? {
             println!("verify: UNCERTIFIED, allowed by --allow-uncertified ({reason})");
             return Ok(ExitCode::SUCCESS);

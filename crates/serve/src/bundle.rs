@@ -16,7 +16,7 @@
 use cocktail_analysis::{AnalysisReport, ControllerSpec, Severity};
 use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
-use cocktail_nn::{FastTierCert, Mlp};
+use cocktail_nn::Mlp;
 use cocktail_obs::{NullSink, Telemetry};
 use cocktail_verify::{certify_controller, default_params, SafetyCert, SafetyParams};
 use serde::{Deserialize, Serialize};
@@ -25,16 +25,16 @@ use std::path::{Path, PathBuf};
 
 /// Format version of [`ControllerBundle`]; bump on any shape change.
 ///
-/// Version history: 1 — initial format; 2 — adds the optional `fast_tier`
-/// quantization/approximation error certificate; 3 — adds the optional
-/// `safety` formal safety certificate (Bernstein + reachability +
-/// invariant set). Version-2 bundles still load and validate, but the
-/// admission gate refuses them by default as uncertified (see
-/// `AdmissionConfig::allow_uncertified`).
-pub const BUNDLE_VERSION: u32 = 3;
+/// Version history: 1 — initial format; 2 — adds the optional fast-tier
+/// quantization/approximation error certificate; 3 — adds the `safety`
+/// formal safety certificate (Bernstein + reachability + invariant set);
+/// 4 — drops the fast-tier certificate (the engine serves the exact kernel
+/// only). Version-3 files still load: their fast-tier key is ignored.
+/// Version-2 files predate the safety certificate and are refused.
+pub const BUNDLE_VERSION: u32 = 4;
 
 /// Oldest bundle format [`ControllerBundle::validate`] still accepts.
-pub const OLDEST_READABLE_VERSION: u32 = 2;
+pub const OLDEST_READABLE_VERSION: u32 = 3;
 
 /// Why a bundle could not be packaged, saved, or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,12 +121,13 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// A deployable controller artifact.
 ///
 /// See the module docs for the format contract. Field order is part of
-/// the (pretty-printed JSON) format. `Deserialize` is hand-written below:
-/// version-2 files predate the `safety` field entirely, so a missing key
-/// must read as `None` while every other field stays required.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// the (pretty-printed JSON) format. Every key is required (`safety` may
+/// be `null`); unknown keys, such as a version-3 file's fast-tier
+/// certificate, are ignored.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerBundle {
-    /// Must equal [`BUNDLE_VERSION`].
+    /// [`BUNDLE_VERSION`] when written; loads accept
+    /// [`OLDEST_READABLE_VERSION`] and up.
     pub version: u32,
     /// The plant the controller was trained and certified for.
     pub system: SystemId,
@@ -147,62 +148,16 @@ pub struct ControllerBundle {
     /// Analyzer findings at export time (informational; admission re-runs
     /// the analyzer rather than trusting these).
     pub analysis: Vec<BundleFinding>,
-    /// Certified output-error bounds of the reduced-precision serving
-    /// kernels (fast-tanh and f32 tiers) over `input_domain`, derived at
-    /// export with interval arithmetic. `None` when the controller uses
-    /// activations the fast tiers do not cover; admission re-derives the
-    /// certificate from the shipped weights and refuses on mismatch.
-    pub fast_tier: Option<FastTierCert>,
     /// The formal safety certificate: Bernstein enclosure, closed-loop
     /// reachability and control-invariant set, derived at export from the
     /// shipped weights, the plant spec and the embedded parameters.
     /// Admission re-derives it bit-for-bit and refuses on any disagreement;
-    /// a bundle without one (version-2 formats, or a student whose
-    /// certification exhausted its budget — the paper's `κ_D` failure
-    /// mode) is refused as *uncertified* unless explicitly allowed.
-    /// Absent (`None`) when deserializing version-2 files.
+    /// a bundle without one (stripped, or a student whose certification
+    /// exhausted its budget — the paper's `κ_D` failure mode) is refused
+    /// as *uncertified* unless explicitly allowed.
     pub safety: Option<SafetyCert>,
     /// Who made this bundle.
     pub provenance: Provenance,
-}
-
-impl Deserialize for ControllerBundle {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Map(fields) = v else {
-            return Err(serde::DeError::custom(format!(
-                "expected map for `ControllerBundle`, got {}",
-                v.kind()
-            )));
-        };
-        fn req<T: Deserialize>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            T::from_value(
-                serde::__field(fields, name)
-                    .map_err(|e| serde::DeError::custom(format!("in `ControllerBundle`: {e}")))?,
-            )
-        }
-        // `safety` arrived with format version 3; in older files the key is
-        // simply absent, which must read as "no certificate", not an error.
-        let safety = match fields.iter().find(|(k, _)| k == "safety") {
-            Some((_, v)) => Option::<SafetyCert>::from_value(v)?,
-            None => None,
-        };
-        Ok(ControllerBundle {
-            version: req(fields, "version")?,
-            system: req(fields, "system")?,
-            spec: req(fields, "spec")?,
-            input_domain: req(fields, "input_domain")?,
-            u_inf: req(fields, "u_inf")?,
-            u_sup: req(fields, "u_sup")?,
-            lipschitz_claim: req(fields, "lipschitz_claim")?,
-            analysis: req(fields, "analysis")?,
-            fast_tier: req(fields, "fast_tier")?,
-            safety,
-            provenance: req(fields, "provenance")?,
-        })
-    }
 }
 
 impl ControllerBundle {
@@ -270,10 +225,6 @@ impl ControllerBundle {
         })?;
         let (u_inf, u_sup) = sys.control_bounds();
         let input_domain = sys.verification_domain();
-        let fast_tier = match &spec {
-            ControllerSpec::Mlp { net, .. } => cocktail_nn::certify_fast_tier(net, &input_domain),
-            _ => None,
-        };
         let safety = match &spec {
             ControllerSpec::Mlp { net, scale } => {
                 let defaults;
@@ -307,7 +258,6 @@ impl ControllerBundle {
             u_sup,
             lipschitz_claim: claim,
             analysis: findings_of(&report),
-            fast_tier,
             safety,
             provenance,
         };
@@ -327,12 +277,6 @@ impl ControllerBundle {
             return Err(BundleError::Format(format!(
                 "bundle version {} outside the supported range \
                  {OLDEST_READABLE_VERSION}..={BUNDLE_VERSION}",
-                self.version
-            )));
-        }
-        if self.version < 3 && self.safety.is_some() {
-            return Err(BundleError::Format(format!(
-                "version {} predates safety certificates yet carries one",
                 self.version
             )));
         }
@@ -379,29 +323,6 @@ impl ControllerBundle {
                 "lipschitz claim {}",
                 self.lipschitz_claim
             )));
-        }
-        if let Some(cert) = &self.fast_tier {
-            let scalars = [cert.fast_tanh_eps, cert.fast_tanh_f32_eps];
-            let rows = cert
-                .fast_tanh_output_error
-                .iter()
-                .chain(&cert.f32_output_error);
-            if scalars
-                .iter()
-                .chain(rows)
-                .any(|v| !v.is_finite() || *v < 0.0)
-            {
-                return Err(BundleError::NonFinite("fast tier certificate".into()));
-            }
-            if cert.fast_tanh_output_error.len() != control_dim
-                || cert.f32_output_error.len() != control_dim
-            {
-                return Err(BundleError::Format(format!(
-                    "fast tier certificate arity ({}, {}) != control dimension {control_dim}",
-                    cert.fast_tanh_output_error.len(),
-                    cert.f32_output_error.len()
-                )));
-            }
         }
         if let Some(cert) = &self.safety {
             validate_safety_cert(cert, state_dim)?;
@@ -646,19 +567,40 @@ pub(crate) mod tests_support {
         .clone()
     }
 
-    /// The same artifact in the legacy version-2 format: no safety
-    /// certificate, pre-certification version stamp.
-    pub(crate) fn v2_bundle() -> ControllerBundle {
-        let mut b = healthy_bundle();
-        b.version = 2;
-        b.safety = None;
-        b
+    /// [`healthy_bundle`] as JSON text after `edit` has rewritten its
+    /// top-level fields, for building files in other format versions.
+    #[allow(
+        clippy::expect_used,
+        reason = "test fixture; a serialization failure here is a test failure"
+    )]
+    pub(crate) fn edited_bundle_json(
+        edit: impl FnOnce(&mut Vec<(String, serde::Value)>),
+    ) -> String {
+        let serde::Value::Map(mut fields) = serde::Serialize::to_value(&healthy_bundle()) else {
+            unreachable!("a bundle serializes to a JSON object");
+        };
+        edit(&mut fields);
+        serde_json::to_string_pretty(&serde::Value::Map(fields)).expect("a value tree serializes")
+    }
+
+    /// Sets top-level `key` to `value` in place, appending it when absent.
+    pub(crate) fn set_field(
+        fields: &mut Vec<(String, serde::Value)>,
+        key: &str,
+        value: serde::Value,
+    ) {
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => fields.push((key.to_string(), value)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::{healthy_bundle as bundle, provenance, student};
+    use super::tests_support::{
+        edited_bundle_json, healthy_bundle as bundle, provenance, set_field, student,
+    };
     use super::*;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -680,30 +622,6 @@ mod tests {
         let (net, scale) = b.network().expect("neural spec");
         assert_eq!(net.input_dim(), 2);
         assert_eq!(scale, &[20.0]);
-    }
-
-    #[test]
-    fn package_embeds_a_fast_tier_certificate_for_tanh_students() {
-        let b = bundle();
-        let cert = b.fast_tier.as_ref().expect("tanh student is certifiable");
-        assert_eq!(cert.fast_tanh_output_error.len(), 1);
-        assert_eq!(cert.f32_output_error.len(), 1);
-        assert!(cert.fast_tanh_output_error[0] > 0.0);
-        assert!(cert.f32_output_error[0] > 0.0);
-        let (net, _) = b.network().expect("neural spec");
-        let fresh =
-            cocktail_nn::certify_fast_tier(net, &b.input_domain).expect("re-derivation succeeds");
-        assert!(fresh.matches(cert, 1e-9), "re-derivation is deterministic");
-    }
-
-    #[test]
-    fn validate_refuses_a_non_finite_fast_tier_cert() {
-        let mut b = bundle();
-        if let Some(cert) = b.fast_tier.as_mut() {
-            cert.f32_output_error[0] = f64::NAN;
-        }
-        let err = b.validate().expect_err("NaN cert refused");
-        assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
     }
 
     #[test]
@@ -746,7 +664,12 @@ mod tests {
         b.save(&path).expect("save succeeds");
         let text = std::fs::read_to_string(&path).expect("readable");
 
-        let skewed = text.replacen("\"version\": 3", "\"version\": 99", 1);
+        let skewed = text.replacen(
+            &format!("\"version\": {BUNDLE_VERSION}"),
+            "\"version\": 99",
+            1,
+        );
+        assert_ne!(skewed, text, "substitution must hit");
         std::fs::write(&path, skewed).expect("writable");
         let err = ControllerBundle::load(&path).expect_err("version skew refused");
         assert!(err.to_string().contains("version 99"), "{err}");
@@ -794,40 +717,26 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_without_a_safety_key_load_as_uncertified() {
-        let b = bundle();
-        let path = temp_path("v2-compat");
-        b.save(&path).expect("save succeeds");
-        let text = std::fs::read_to_string(&path).expect("readable");
+    fn v2_files_are_refused_at_load() {
+        let path = temp_path("v2-refused");
+        let stamp_v2 = |fields: &mut Vec<(String, serde::Value)>| {
+            set_field(fields, "version", serde::Serialize::to_value(&2u32));
+        };
 
-        // rebuild the file as a version-2 artifact: older stamp, no
-        // `safety` key at all (not even `null`)
-        let mut v2_lines: Vec<String> = Vec::new();
-        let mut in_safety = false;
-        let mut depth = 0i32;
-        for line in text.lines() {
-            if line.trim_start().starts_with("\"safety\":") {
-                in_safety = true;
-                depth = 0;
-            }
-            if in_safety {
-                depth += line.matches(['{', '[']).count() as i32;
-                depth -= line.matches(['}', ']']).count() as i32;
-                if depth <= 0 {
-                    in_safety = false;
-                }
-                continue;
-            }
-            v2_lines.push(line.replacen("\"version\": 3", "\"version\": 2", 1));
-        }
-        let v2_text = v2_lines.join("\n");
-        assert!(!v2_text.contains("\"safety\""), "key must be gone");
-        std::fs::write(&path, v2_text).expect("writable");
+        // stamped v2 but carrying the `safety` key: the version check refuses
+        std::fs::write(&path, edited_bundle_json(stamp_v2)).expect("writable");
+        let err = ControllerBundle::load(&path).expect_err("v2 stamp refused");
+        assert!(matches!(err, BundleError::Format(_)), "{err}");
+        assert!(err.to_string().contains("version 2"), "{err}");
 
-        let back = ControllerBundle::load(&path).expect("v2 file still loads");
-        assert_eq!(back.version, 2);
-        assert_eq!(back.safety, None);
-        assert_eq!(back.spec, b.spec, "payload fields survive the downgrade");
+        // a genuine v2 file has no `safety` key at all: refused at parse
+        let v2 = edited_bundle_json(|fields| {
+            stamp_v2(fields);
+            fields.retain(|(k, _)| k != "safety");
+        });
+        std::fs::write(&path, v2).expect("writable");
+        let err = ControllerBundle::load(&path).expect_err("v2 file refused");
+        assert!(matches!(err, BundleError::Format(_)), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

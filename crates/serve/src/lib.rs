@@ -3,20 +3,23 @@
 //! The pipeline crates end at a trained, verified student network. This
 //! crate is the deployment story for that artifact, in five layers:
 //!
-//! 1. **Bundle** ([`bundle`]): a versioned, self-describing JSON artifact
-//!    packaging the student network with its operating envelope (input
-//!    domain, control clip range), its measured Lipschitz certificate,
-//!    the static-analysis findings it shipped with, and provenance (seed,
-//!    config hash, crate version). Writes are atomic and fsync'd.
+//! 1. **Bundle** ([`bundle`]): a versioned (format v4), self-describing
+//!    JSON artifact packaging the student network with its operating
+//!    envelope (input domain, control clip range), its measured Lipschitz
+//!    certificate, its formal safety certificate, the static-analysis
+//!    findings it shipped with, and provenance (seed, config hash, crate
+//!    version). Writes are atomic and fsync'd.
 //! 2. **Admission** ([`admission`]): nothing serves on trust. Loading a
 //!    bundle re-runs the `cocktail-analysis` gate against the *current*
-//!    linter and re-derives the Lipschitz bound; a stale claim, a Deny
-//!    finding, or a certificate violation refuses admission.
+//!    linter and re-derives the Lipschitz bound and the safety
+//!    certificate; a stale claim, a Deny finding, or a certificate
+//!    violation refuses admission.
 //! 3. **Engine** ([`engine`]): a sharded micro-batching scheduler — N
 //!    independent queue+worker shards, deterministic connection-to-shard
 //!    hashing, reusable batch scratch (zero steady-state allocations on
 //!    the binary reply path) — that coalesces concurrent requests into
-//!    batched forwards, clips every output to the bundle envelope,
+//!    batched forwards on the one exact kernel (every row bit-identical
+//!    to the per-sample path), clips every output to the bundle envelope,
 //!    answers non-finite outputs from a fallback expert, and rejects
 //!    (never blocks) under overload.
 //! 4. **Wire + transport** ([`wire`], [`transport`], [`reactor`]): a
@@ -57,8 +60,7 @@ pub use bundle::{
     BundleError, ControllerBundle, Provenance, BUNDLE_VERSION, OLDEST_READABLE_VERSION,
 };
 pub use engine::{
-    ControlResponse, Engine, EngineConfig, EngineHandle, Outbox, PinnedHandle, ServeError,
-    ServeTier, Ticket,
+    ControlResponse, Engine, EngineConfig, EngineHandle, Outbox, PinnedHandle, ServeError, Ticket,
 };
 pub use loadgen::{LoadGenConfig, LoadReport, WireProtocol};
 #[cfg(target_os = "linux")]

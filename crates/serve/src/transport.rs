@@ -177,6 +177,9 @@ impl ControlClient for Box<dyn ControlClient + Send> {
     }
 }
 
+/// Writes one length-prefixed frame with a single `write`, so the prefix
+/// and the body leave in one segment: split across two writes, the body
+/// waits on the peer's delayed ACK under Nagle.
 fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
     let len = u32::try_from(body.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
@@ -186,8 +189,10 @@ fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
             "frame too large",
         ));
     }
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -238,7 +243,12 @@ impl Server {
                     if accept_stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    // replies are small and latency-bound: never hold one
+                    // back for Nagle coalescing
                     let Ok(stream) = conn else { continue };
+                    if stream.set_nodelay(true).is_err() {
+                        continue;
+                    }
                     let conn_id = next_conn.fetch_add(1, Ordering::Relaxed);
                     let pinned = handle.pinned(conn_id);
                     // connection threads are detached: they exit when the
@@ -767,6 +777,27 @@ mod tests {
         assert!(matches!(err, ServeError::BadRequest(_)));
         // the connection survives a refused request
         assert!(client.control(&[0.0, 0.0]).is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn lockstep_json_round_trips_have_no_delayed_ack_stall() {
+        // one request in flight at a time: a frame split across two
+        // segments, or a server socket left under Nagle, stalls every round
+        // trip on the peer's delayed ACK (~40 ms each, ~8 s in total)
+        let engine = test_engine();
+        let server = Server::bind("127.0.0.1:0", engine.handle()).expect("bind");
+        let mut client = TcpClient::connect(server.local_addr()).expect("connect");
+        let started = std::time::Instant::now();
+        for i in 0..200u32 {
+            let s = [f64::from(i) / 400.0 - 0.25, 0.1];
+            client.control(&s).expect("served");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "200 lockstep JSON round trips took {elapsed:?}"
+        );
         server.shutdown();
     }
 

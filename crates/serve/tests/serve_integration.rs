@@ -186,7 +186,13 @@ fn corrupted_bundles_never_serve() {
     let healthy = bundle();
     healthy.save(&path).expect("healthy bundle saves");
     let text = std::fs::read_to_string(&path).expect("readable");
-    std::fs::write(&path, text.replacen("\"version\": 3", "\"version\": 99", 1)).expect("writable");
+    let skewed_text = text.replacen(
+        &format!("\"version\": {}", cocktail_serve::BUNDLE_VERSION),
+        "\"version\": 99",
+        1,
+    );
+    assert_ne!(skewed_text, text, "substitution must hit");
+    std::fs::write(&path, skewed_text).expect("writable");
     assert!(
         ControllerBundle::load(&path).is_err(),
         "load refuses version skew"
