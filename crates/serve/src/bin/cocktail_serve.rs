@@ -93,6 +93,61 @@ impl Args {
     }
 }
 
+/// The flags `command` reads, or `None` for an unknown command. Any other
+/// flag is refused, so a stale or misspelt one cannot be silently ignored.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "check" | "verify" => &["bundle", "allow-uncertified"],
+        "serve" => &[
+            "bundle",
+            "addr",
+            "allow-uncertified",
+            "max-batch",
+            "deadline-us",
+            "capacity",
+            "shards",
+            "transport",
+            "telemetry",
+            "drift-window",
+            "drift-threshold",
+            "retrain-dir",
+        ],
+        "loadgen" => &["bundle", "addr", "requests", "connections", "seed", "wire"],
+        "smoke" => &[
+            "bundle",
+            "allow-uncertified",
+            "requests",
+            "connections",
+            "seed",
+            "wire",
+            "telemetry",
+            "max-batch",
+            "deadline-us",
+            "capacity",
+            "shards",
+            "transport",
+            "drift-window",
+            "drift-threshold",
+        ],
+        "replay" => &[
+            "telemetry",
+            "incumbent",
+            "candidate",
+            "max-divergence",
+            "max-envelope-violations",
+        ],
+        "rollout-drill" => &[
+            "bundle",
+            "allow-uncertified",
+            "telemetry",
+            "retrain-dir",
+            "shards",
+            "transport",
+        ],
+        _ => return None,
+    })
+}
+
 fn usage() -> String {
     "usage: cocktail-serve <check|verify|serve|loadgen|smoke|replay|rollout-drill> [options]\n\
      \n\
@@ -101,17 +156,20 @@ fn usage() -> String {
      serve         --bundle <path> --addr <ip:port> [--max-batch N] [--deadline-us N]\n\
                    [--capacity N] [--shards N] [--transport reactor|threaded]\n\
                    [--telemetry <jsonl>] [--drift-window N] [--drift-threshold X]\n\
-                   [--retrain-dir <dir>]\n\
+                   [--retrain-dir <dir>] [--allow-uncertified]\n\
      loadgen       --bundle <path> --addr <ip:port> [--requests N] [--connections N]\n\
                    [--seed N] [--wire json|binary]\n\
      smoke         --bundle <path> [--requests N] [--connections N] [--seed N]\n\
                    [--wire json|binary] [--telemetry <jsonl>] [--max-batch N]\n\
                    [--deadline-us N] [--capacity N] [--shards N]\n\
-                   [--transport reactor|threaded]\n\
+                   [--transport reactor|threaded] [--drift-window N]\n\
+                   [--drift-threshold X] [--allow-uncertified]\n\
      replay       --telemetry <jsonl> --incumbent <path> --candidate <path>\n\
                    [--max-divergence X] [--max-envelope-violations N]\n\
      rollout-drill --bundle <path> [--telemetry <jsonl>] [--retrain-dir <dir>]\n\
-                   [--shards N] [--transport reactor|threaded]"
+                   [--shards N] [--transport reactor|threaded] [--allow-uncertified]\n\
+     \n\
+     Any other flag exits 2: unknown flag --<name> for <command>."
         .to_string()
 }
 
@@ -121,7 +179,21 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     };
-    let result = match Args::parse(&raw[1..]) {
+    let args = Args::parse(&raw[1..]);
+    if let (Ok(args), Some(accepted)) = (&args, accepted_flags(&command)) {
+        if let Some((flag, _)) = args
+            .flags
+            .iter()
+            .find(|(k, _)| !accepted.contains(&k.as_str()))
+        {
+            eprintln!(
+                "cocktail-serve: unknown flag --{flag} for {command} (accepted: --{})",
+                accepted.join(", --")
+            );
+            return ExitCode::from(2);
+        }
+    }
+    let result = match args {
         Err(e) => Err(e),
         Ok(args) => match command.as_str() {
             "check" => cmd_check(&args),

@@ -19,9 +19,10 @@
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
-use cocktail_math::{BoxRegion, Interval};
+use cocktail_math::{BoxRegion, Interval, Matrix};
 use cocktail_nn::Mlp;
 use serde::{Deserialize, Serialize};
+use std::ops::{Add, Mul};
 
 /// Binomial coefficient `C(n, k)` as `f64` (degrees here are ≤ ~10).
 fn binomial(n: usize, k: usize) -> f64 {
@@ -35,14 +36,95 @@ fn binomial(n: usize, k: usize) -> f64 {
     num / den
 }
 
+/// Per-call scratch up to this many entries lives on the stack, so the
+/// per-point queries ([`BernsteinApprox::eval`], the basis enclosure) do
+/// not allocate for any practical `dim · (degree + 1)`.
+const STACK_SCRATCH: usize = 64;
+
+/// Runs `f` on a `len`-long scratch slice filled with `fill`: a stack
+/// buffer when it fits in [`STACK_SCRATCH`], a heap one otherwise.
+fn with_scratch<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= STACK_SCRATCH {
+        let mut buf = [fill; STACK_SCRATCH];
+        f(&mut buf[..len])
+    } else {
+        f(&mut vec![fill; len])
+    }
+}
+
+/// Advances a mixed-radix counter (digit 0 fastest, every digit in
+/// `0..radix`), wrapping to all zeros after the last index.
+fn advance(idx: &mut [usize], radix: usize) {
+    for item in idx.iter_mut() {
+        *item += 1;
+        if *item < radix {
+            return;
+        }
+        *item = 0;
+    }
+}
+
+/// The unit coordinate of `v` in `iv`, as [`BoxRegion::to_unit`] computes
+/// it (a degenerate interval maps to `0`).
+fn unit(iv: &Interval, v: f64) -> f64 {
+    if iv.width() > 0.0 {
+        (v - iv.lo()) / iv.width()
+    } else {
+        0.0
+    }
+}
+
+/// `Σ_k c_k · Π_i basis[i·pts + k_i]` over the coefficient tensor
+/// (dimension 0 fastest): each term multiplies in dimension order and the
+/// terms are summed in coefficient order, for points (`f64`) and boxes
+/// ([`Interval`]) alike.
+fn tensor_sum<T>(coeffs: &[f64], basis: &[T], pts: usize) -> T
+where
+    T: Copy + From<f64> + Add<Output = T> + Mul<Output = T>,
+{
+    with_scratch(basis.len() / pts, 0usize, |idx| {
+        let mut acc = T::from(0.0);
+        for &c in coeffs {
+            let mut w = T::from(c);
+            for (i, &k) in idx.iter().enumerate() {
+                w = w * basis[i * pts + k];
+            }
+            acc = acc + w;
+            advance(idx, pts);
+        }
+        acc
+    })
+}
+
+/// The uniform `per_dim^n` grid over `domain` as a `per_dim^n × n` point
+/// matrix, lexicographic in the per-dimension index (dimension 0 fastest).
+/// Row `k` equals `domain.lerp(k / (per_dim − 1))` bit for bit, so two
+/// grids of the same resolution over the same box hold identical points.
+fn sample_grid(domain: &BoxRegion, per_dim: usize) -> Matrix {
+    let n = domain.dim();
+    let count = per_dim.pow(n as u32);
+    let steps = (per_dim - 1) as f64;
+    let mut points = Vec::with_capacity(count * n);
+    let mut idx = vec![0usize; n];
+    for _ in 0..count {
+        for (iv, &k) in domain.intervals().iter().zip(&idx) {
+            points.push(iv.lo() + k as f64 / steps * iv.width());
+        }
+        advance(&mut idx, per_dim);
+    }
+    Matrix::from_vec(count, n, points)
+}
+
 /// A single-output Bernstein approximant over a box.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BernsteinApprox {
     domain: BoxRegion,
     degree: usize,
     /// Coefficients on the `(degree+1)^n` tensor grid, lexicographic in the
     /// per-dimension index (dimension 0 fastest).
     coeffs: Vec<f64>,
+    /// [`bernstein_lipschitz`] of the coefficients, computed once.
+    lipschitz: f64,
 }
 
 impl BernsteinApprox {
@@ -54,27 +136,21 @@ impl BernsteinApprox {
     /// Panics if `degree == 0`.
     pub fn build(f: &dyn Fn(&[f64]) -> f64, domain: &BoxRegion, degree: usize) -> Self {
         assert!(degree > 0, "degree must be positive");
-        let n = domain.dim();
-        let pts = degree + 1;
-        let count = pts.pow(n as u32);
-        let mut coeffs = Vec::with_capacity(count);
-        let mut idx = vec![0usize; n];
-        for _ in 0..count {
-            let t: Vec<f64> = idx.iter().map(|&k| k as f64 / degree as f64).collect();
-            coeffs.push(f(&domain.lerp(&t)));
-            // increment mixed-radix counter
-            for item in idx.iter_mut() {
-                *item += 1;
-                if *item < pts {
-                    break;
-                }
-                *item = 0;
-            }
-        }
+        let grid = sample_grid(domain, degree + 1);
+        let coeffs = (0..grid.rows()).map(|r| f(grid.row(r))).collect();
+        Self::from_coeffs(domain.clone(), degree, coeffs)
+    }
+
+    /// The approximant with the given grid coefficients (the layout of
+    /// [`sample_grid`] at `degree + 1` points per dimension).
+    fn from_coeffs(domain: BoxRegion, degree: usize, coeffs: Vec<f64>) -> Self {
+        debug_assert_eq!(coeffs.len(), (degree + 1).pow(domain.dim() as u32));
+        let lipschitz = bernstein_lipschitz(&domain, degree, &coeffs);
         Self {
-            domain: domain.clone(),
+            domain,
             degree,
             coeffs,
+            lipschitz,
         }
     }
 
@@ -88,42 +164,28 @@ impl BernsteinApprox {
         self.degree
     }
 
-    /// Evaluates the approximant at a point of the domain.
+    /// Evaluates the approximant at a point of the domain. Allocation-free
+    /// for `dim · (degree + 1) <= 64`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != domain.dim()`.
     pub fn eval(&self, x: &[f64]) -> f64 {
-        let t = self.domain.to_unit(x);
-        let n = t.len();
+        assert_eq!(x.len(), self.domain.dim(), "point dimension mismatch");
+        let n = x.len();
         let d = self.degree;
-        // per-dimension basis values B_{k,d}(tᵢ)
-        let basis: Vec<Vec<f64>> = t
-            .iter()
-            .map(|&ti| {
-                (0..=d)
-                    .map(|k| binomial(d, k) * ti.powi(k as i32) * (1.0 - ti).powi((d - k) as i32))
-                    .collect()
-            })
-            .collect();
         let pts = d + 1;
-        let mut acc = 0.0;
-        let mut idx = vec![0usize; n];
-        for &c in &self.coeffs {
-            let mut w = c;
-            for (i, &k) in idx.iter().enumerate() {
-                w *= basis[i][k];
-            }
-            acc += w;
-            for item in idx.iter_mut() {
-                *item += 1;
-                if *item < pts {
-                    break;
+        with_scratch(n * pts, 0.0, |basis| {
+            // per-dimension basis values B_{k,d}(tᵢ), row i of `basis`
+            for (i, (iv, &xi)) in self.domain.intervals().iter().zip(x).enumerate() {
+                let ti = unit(iv, xi);
+                for k in 0..=d {
+                    basis[i * pts + k] =
+                        binomial(d, k) * ti.powi(k as i32) * (1.0 - ti).powi((d - k) as i32);
                 }
-                *item = 0;
             }
-        }
-        acc
+            tensor_sum(&self.coeffs, basis, pts)
+        })
     }
 
     /// The convex-hull enclosure over the *whole* domain: a Bernstein-form
@@ -141,7 +203,7 @@ impl BernsteinApprox {
     /// An upper bound on this approximant's own 2-norm Lipschitz constant,
     /// from the first differences of the coefficient tensor.
     pub fn lipschitz_bound(&self) -> f64 {
-        bernstein_lipschitz(self)
+        self.lipschitz
     }
 
     /// Sound enclosure of the approximant over a sub-box `q ⊆ domain`.
@@ -166,55 +228,42 @@ impl BernsteinApprox {
             .map(|iv| iv.radius() * iv.radius())
             .sum::<f64>()
             .sqrt();
-        let centre = self.eval(&q.center());
-        let mean_value =
-            Interval::symmetric(self.lipschitz_bound() * radius) + Interval::point(centre);
+        let centre = with_scratch(q.dim(), 0.0, |c| {
+            for (ci, iv) in c.iter_mut().zip(q.intervals()) {
+                *ci = iv.mid();
+            }
+            self.eval(c)
+        });
+        let mean_value = Interval::symmetric(self.lipschitz * radius) + Interval::point(centre);
         bound.intersect(&mean_value).unwrap_or(bound)
     }
 
     fn enclose_by_basis(&self, q: &BoxRegion) -> Interval {
         assert_eq!(q.dim(), self.domain.dim(), "sub-box dimension mismatch");
-        // unit coordinates of the sub-box, clamped to [0,1]
         let n = q.dim();
         let d = self.degree;
-        let t: Vec<Interval> = (0..n)
-            .map(|i| {
-                let lo = self.domain.to_unit(&q.lower())[i].clamp(0.0, 1.0);
-                let hi = self.domain.to_unit(&q.upper())[i].clamp(0.0, 1.0);
-                Interval::new(lo.min(hi), hi.max(lo))
-            })
-            .collect();
-        let one = Interval::point(1.0);
-        let basis: Vec<Vec<Interval>> = t
-            .iter()
-            .map(|&ti| {
-                (0..=d)
-                    .map(|k| {
-                        Interval::point(binomial(d, k))
-                            * ti.powi(k as u32)
-                            * (one - ti).powi((d - k) as u32)
-                    })
-                    .collect()
-            })
-            .collect();
         let pts = d + 1;
-        let mut acc = Interval::point(0.0);
-        let mut idx = vec![0usize; n];
-        for &c in &self.coeffs {
-            let mut w = Interval::point(c);
-            for (i, &k) in idx.iter().enumerate() {
-                w = w * basis[i][k];
-            }
-            acc = acc + w;
-            for item in idx.iter_mut() {
-                *item += 1;
-                if *item < pts {
-                    break;
+        let one = Interval::point(1.0);
+        with_scratch(n * pts, one, |basis| {
+            for (i, (dom, qi)) in self
+                .domain
+                .intervals()
+                .iter()
+                .zip(q.intervals())
+                .enumerate()
+            {
+                // unit coordinates of the sub-box, clamped to [0,1]
+                let lo = unit(dom, qi.lo()).clamp(0.0, 1.0);
+                let hi = unit(dom, qi.hi()).clamp(0.0, 1.0);
+                let ti = Interval::new(lo.min(hi), hi.max(lo));
+                for k in 0..=d {
+                    basis[i * pts + k] = Interval::point(binomial(d, k))
+                        * ti.powi(k as u32)
+                        * (one - ti).powi((d - k) as u32);
                 }
-                *item = 0;
             }
-        }
-        acc
+            tensor_sum(&self.coeffs, basis, pts)
+        })
     }
 }
 
@@ -230,22 +279,20 @@ pub fn rigorous_error_bound(lipschitz: f64, domain: &BoxRegion, degree: usize) -
 /// An upper bound on the 2-norm Lipschitz constant of a Bernstein
 /// approximant, from the first differences of its coefficient tensor:
 /// `|∂B/∂tᵢ| ≤ d·max_k |c_{k+eᵢ} − c_k|` in unit coordinates.
-fn bernstein_lipschitz(poly: &BernsteinApprox) -> f64 {
-    let n = poly.domain.dim();
-    let d = poly.degree;
+fn bernstein_lipschitz(domain: &BoxRegion, d: usize, coeffs: &[f64]) -> f64 {
     let pts = d + 1;
     let mut acc = 0.0;
-    for i in 0..n {
+    for i in 0..domain.dim() {
         let stride: usize = pts.pow(i as u32);
         let mut max_diff: f64 = 0.0;
-        for (idx, &c) in poly.coeffs.iter().enumerate() {
+        for (idx, &c) in coeffs.iter().enumerate() {
             // index along dimension i
             let k = (idx / stride) % pts;
             if k + 1 < pts {
-                max_diff = max_diff.max((poly.coeffs[idx + stride] - c).abs());
+                max_diff = max_diff.max((coeffs[idx + stride] - c).abs());
             }
         }
-        let w = poly.domain.interval(i).width();
+        let w = domain.interval(i).width();
         if w > 0.0 {
             let l_i = d as f64 * max_diff / w;
             acc += l_i * l_i;
@@ -254,32 +301,21 @@ fn bernstein_lipschitz(poly: &BernsteinApprox) -> f64 {
     acc.sqrt()
 }
 
-/// Sound error bound for `|f − B|` over the piece from a dense sample grid
-/// plus the Lipschitz covering margin: if the grid has covering radius `r`
-/// (2-norm) then `‖f − B‖_∞ ≤ max_grid |f − B| + (L_f + L_B)·r`.
+/// Sound error bound for `|f − B|` over the piece from the uniform
+/// `m^n` sample grid `samples` (a [`sample_grid`] of `poly`'s domain) with
+/// `f` known there (`truth[r] = f(samples.row(r))`), plus the Lipschitz
+/// covering margin: if the grid has covering radius `r` (2-norm) then
+/// `‖f − B‖_∞ ≤ max_grid |f − B| + (L_f + L_B)·r`.
 fn sampled_error_bound(
-    f: &dyn Fn(&[f64]) -> f64,
     poly: &BernsteinApprox,
+    samples: &Matrix,
+    truth: &[f64],
     f_lipschitz: f64,
-    samples_per_dim: usize,
+    m: usize,
 ) -> f64 {
-    let n = poly.domain.dim();
-    let m = samples_per_dim.max(2);
-    let mut worst: f64 = 0.0;
-    let mut idx = vec![0usize; n];
-    let count = m.pow(n as u32);
-    for _ in 0..count {
-        let t: Vec<f64> = idx.iter().map(|&k| k as f64 / (m - 1) as f64).collect();
-        let x = poly.domain.lerp(&t);
-        worst = worst.max((f(&x) - poly.eval(&x)).abs());
-        for item in idx.iter_mut() {
-            *item += 1;
-            if *item < m {
-                break;
-            }
-            *item = 0;
-        }
-    }
+    let worst = truth.iter().enumerate().fold(0.0_f64, |worst, (r, &f)| {
+        worst.max((f - poly.eval(samples.row(r))).abs())
+    });
     let r = 0.5
         * poly
             .domain
@@ -291,7 +327,7 @@ fn sampled_error_bound(
             })
             .sum::<f64>()
             .sqrt();
-    worst + (f_lipschitz + bernstein_lipschitz(poly)) * r
+    worst + (f_lipschitz + poly.lipschitz) * r
 }
 
 /// Configuration for [`BernsteinCertificate::build`].
@@ -333,7 +369,7 @@ pub struct RefineStats {
 
 /// A piecewise Bernstein over-approximation of a (scaled) MLP controller:
 /// on every piece `P`, `κ(x) ∈ B_P(x) ± ε_P` for all `x ∈ P`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BernsteinCertificate {
     pieces: Vec<CertPiece>,
     domain: BoxRegion,
@@ -341,11 +377,58 @@ pub struct BernsteinCertificate {
     lipschitz: f64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct CertPiece {
     region: BoxRegion,
     polys: Vec<BernsteinApprox>,
     epsilon: f64,
+}
+
+/// One region's per-output approximants and its sound error bound `ε`.
+///
+/// The network runs once, batched, on the `(degree+1)^n` coefficient grid
+/// (each row of [`Mlp::forward_batch`] is bit-identical to
+/// [`Mlp::forward`]). The sampled error bound needs `f` on the
+/// `error_samples_per_dim^n` grid: when that is the coefficient grid (the
+/// same resolution gives the same points bit for bit) the coefficients
+/// *are* those values, otherwise one more batched forward supplies them.
+fn evaluate_region(
+    net: &Mlp,
+    scale: &[f64],
+    region: &BoxRegion,
+    config: &CertificateConfig,
+    lipschitz: f64,
+) -> (Vec<BernsteinApprox>, f64) {
+    let grid = sample_grid(region, config.degree + 1);
+    let values = net.forward_batch(&grid);
+    let scaled_column = |values: &Matrix, o: usize| -> Vec<f64> {
+        (0..values.rows())
+            .map(|r| values[(r, o)] * scale[o])
+            .collect()
+    };
+    let polys: Vec<BernsteinApprox> = (0..scale.len())
+        .map(|o| {
+            BernsteinApprox::from_coeffs(region.clone(), config.degree, scaled_column(&values, o))
+        })
+        .collect();
+    let m = config.error_samples_per_dim.max(2);
+    let resampled = (m != config.degree + 1).then(|| {
+        let samples = sample_grid(region, m);
+        let values = net.forward_batch(&samples);
+        (samples, values)
+    });
+    let rigorous = rigorous_error_bound(lipschitz, region, config.degree);
+    let mut epsilon: f64 = 0.0;
+    for (o, poly) in polys.iter().enumerate() {
+        let sampled = match &resampled {
+            None => sampled_error_bound(poly, &grid, &poly.coeffs, lipschitz, m),
+            Some((samples, values)) => {
+                sampled_error_bound(poly, samples, &scaled_column(values, o), lipschitz, m)
+            }
+        };
+        epsilon = epsilon.max(sampled.min(rigorous));
+    }
+    (polys, epsilon)
 }
 
 impl BernsteinCertificate {
@@ -361,7 +444,7 @@ impl BernsteinCertificate {
     ///
     /// # Panics
     ///
-    /// Panics if `scale.len() != net.output_dim()` or
+    /// Panics if `config.degree == 0`, `scale.len() != net.output_dim()` or
     /// `domain.dim() != net.input_dim()`.
     pub fn build(
         net: &Mlp,
@@ -402,6 +485,7 @@ impl BernsteinCertificate {
         config: &CertificateConfig,
         workers: usize,
     ) -> Result<(Self, RefineStats), VerifyError> {
+        assert!(config.degree > 0, "degree must be positive");
         assert_eq!(scale.len(), net.output_dim(), "scale length mismatch");
         assert_eq!(domain.dim(), net.input_dim(), "domain dimension mismatch");
         let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
@@ -417,32 +501,11 @@ impl BernsteinCertificate {
                     budget: config.max_pieces,
                 });
             }
-            // build per-output approximants and bound their error soundly
             let evaluated: Vec<(Vec<BernsteinApprox>, f64)> =
                 cocktail_math::parallel::map_indexed_with_workers(
                     &frontier,
                     workers,
-                    |_, region| {
-                        let polys: Vec<BernsteinApprox> = (0..net.output_dim())
-                            .map(|o| {
-                                let f = |x: &[f64]| net.forward(x)[o] * scale[o];
-                                BernsteinApprox::build(&f, region, config.degree)
-                            })
-                            .collect();
-                        let rigorous = rigorous_error_bound(lipschitz, region, config.degree);
-                        let mut epsilon: f64 = 0.0;
-                        for (o, poly) in polys.iter().enumerate() {
-                            let f = |x: &[f64]| net.forward(x)[o] * scale[o];
-                            let sampled = sampled_error_bound(
-                                &f,
-                                poly,
-                                lipschitz,
-                                config.error_samples_per_dim,
-                            );
-                            epsilon = epsilon.max(sampled.min(rigorous));
-                        }
-                        (polys, epsilon)
-                    },
+                    |_, region| evaluate_region(net, scale, region, config, lipschitz),
                 );
             let mut next = Vec::new();
             for (region, (polys, epsilon)) in frontier.into_iter().zip(evaluated) {
@@ -497,9 +560,15 @@ impl BernsteinCertificate {
 
     /// The pieces intersecting `q` (used by the analyses).
     fn pieces_covering<'a>(&'a self, q: &'a BoxRegion) -> impl Iterator<Item = &'a CertPiece> {
-        self.pieces
-            .iter()
-            .filter(move |p| p.region.intersect(q).is_some())
+        // the closed-interval overlap rule of `BoxRegion::intersect`,
+        // without building the intersection box
+        self.pieces.iter().filter(move |p| {
+            p.region
+                .intervals()
+                .iter()
+                .zip(q.intervals())
+                .all(|(a, b)| a.lo().max(b.lo()) <= a.hi().min(b.hi()))
+        })
     }
 
     /// Evaluates the certified approximation at a point (mid-value, no
@@ -714,6 +783,222 @@ mod tests {
                     .expect("fits");
             assert_eq!(cert, reference, "workers = {workers}");
             assert_eq!(stats, ref_stats, "workers = {workers}");
+        }
+    }
+
+    /// The allocating evaluation formula the certificate was first built
+    /// with: `to_unit`, a `Vec<Vec>` basis table, a heap index counter.
+    fn allocating_eval(poly: &BernsteinApprox, x: &[f64]) -> f64 {
+        let t = poly.domain.to_unit(x);
+        let d = poly.degree;
+        let basis: Vec<Vec<f64>> = t
+            .iter()
+            .map(|&ti| {
+                (0..=d)
+                    .map(|k| binomial(d, k) * ti.powi(k as i32) * (1.0 - ti).powi((d - k) as i32))
+                    .collect()
+            })
+            .collect();
+        let mut acc = 0.0;
+        let mut idx = vec![0usize; t.len()];
+        for &c in &poly.coeffs {
+            let mut w = c;
+            for (i, &k) in idx.iter().enumerate() {
+                w *= basis[i][k];
+            }
+            acc += w;
+            advance(&mut idx, d + 1);
+        }
+        acc
+    }
+
+    /// The uniform `m^n` grid through `BoxRegion::lerp`, one `Vec` per point.
+    fn lerp_grid(region: &BoxRegion, m: usize) -> Vec<Vec<f64>> {
+        let n = region.dim();
+        let mut idx = vec![0usize; n];
+        (0..m.pow(n as u32))
+            .map(|_| {
+                let t: Vec<f64> = idx.iter().map(|&k| k as f64 / (m - 1) as f64).collect();
+                advance(&mut idx, m);
+                region.lerp(&t)
+            })
+            .collect()
+    }
+
+    /// Per-point reference certifier: one `net.forward` per coefficient
+    /// and per error sample, evaluated serially — the construction the
+    /// batched build must reproduce bit for bit.
+    fn per_point_certificate(
+        net: &Mlp,
+        scale: &[f64],
+        domain: &BoxRegion,
+        config: &CertificateConfig,
+    ) -> (BernsteinCertificate, RefineStats) {
+        let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
+        let lipschitz = max_scale * net.lipschitz_constant();
+        let mut frontier = vec![domain.clone()];
+        let mut pieces = Vec::new();
+        let mut stats = RefineStats::default();
+        while !frontier.is_empty() {
+            assert!(pieces.len() + frontier.len() <= config.max_pieces);
+            let mut next = Vec::new();
+            for region in frontier {
+                let f = |x: &[f64], o: usize| net.forward(x)[o] * scale[o];
+                let polys: Vec<BernsteinApprox> = (0..scale.len())
+                    .map(|o| {
+                        let coeffs = lerp_grid(&region, config.degree + 1)
+                            .iter()
+                            .map(|x| f(x, o))
+                            .collect();
+                        BernsteinApprox::from_coeffs(region.clone(), config.degree, coeffs)
+                    })
+                    .collect();
+                let m = config.error_samples_per_dim.max(2);
+                let rigorous = rigorous_error_bound(lipschitz, &region, config.degree);
+                let r = 0.5
+                    * region
+                        .intervals()
+                        .iter()
+                        .map(|iv| (iv.width() / (m - 1) as f64).powi(2))
+                        .sum::<f64>()
+                        .sqrt();
+                let mut epsilon: f64 = 0.0;
+                for (o, poly) in polys.iter().enumerate() {
+                    let worst = lerp_grid(&region, m).iter().fold(0.0_f64, |w, x| {
+                        w.max((f(x, o) - allocating_eval(poly, x)).abs())
+                    });
+                    let sampled = worst + (lipschitz + poly.lipschitz_bound()) * r;
+                    epsilon = epsilon.max(sampled.min(rigorous));
+                }
+                if epsilon > config.tolerance && region.max_width() > 1e-6 {
+                    let (a, b) = region.bisect();
+                    next.push(a);
+                    next.push(b);
+                    stats.splits += 1;
+                } else {
+                    pieces.push(CertPiece {
+                        region,
+                        polys,
+                        epsilon,
+                    });
+                }
+            }
+            frontier = next;
+            if !frontier.is_empty() {
+                stats.depth += 1;
+            }
+        }
+        let cert = BernsteinCertificate {
+            pieces,
+            domain: domain.clone(),
+            output_dim: scale.len(),
+            lipschitz,
+        };
+        (cert, stats)
+    }
+
+    #[test]
+    fn batched_build_matches_the_per_point_oracle() {
+        let two_out = MlpBuilder::new(2)
+            .hidden(6, Activation::Tanh)
+            .output(2, Activation::Tanh)
+            .seed(9)
+            .build();
+        let domain = BoxRegion::from_bounds(&[-1.0, -0.5], &[1.0, 1.5]);
+        let cases = [
+            // the shipped shape: coefficient and sample grids coincide
+            (small_net(5), vec![5.0], 4, 5, 0.35),
+            (two_out.clone(), vec![3.0, -2.0], 3, 4, 0.3),
+            // distinct grids: degree 3 sampled at 6 per dimension, and a
+            // sample grid coarser than the coefficient grid
+            (small_net(5), vec![5.0], 3, 6, 0.35),
+            (two_out, vec![3.0, -2.0], 4, 2, 0.6),
+        ];
+        for (net, scale, degree, samples, tolerance) in cases {
+            let cfg = CertificateConfig {
+                degree,
+                tolerance,
+                max_pieces: 4096,
+                error_samples_per_dim: samples,
+            };
+            let (oracle, oracle_stats) = per_point_certificate(&net, &scale, &domain, &cfg);
+            assert!(oracle.piece_count() > 1, "refinement must happen");
+            for workers in [1usize, 2, 8] {
+                let (cert, stats) =
+                    BernsteinCertificate::build_with_workers(&net, &scale, &domain, &cfg, workers)
+                        .expect("fits");
+                assert_eq!(
+                    cert, oracle,
+                    "degree {degree}, {samples} samples, {workers} workers"
+                );
+                assert_eq!(stats, oracle_stats);
+            }
+        }
+    }
+
+    #[test]
+    fn eval_matches_the_allocating_formula_off_grid() {
+        let f = |x: &[f64]| (2.0 * x[0]).sin() * (x[1] - 0.3) + x[2] * x[2];
+        let domain = BoxRegion::from_bounds(&[-1.0, 0.0, -0.5], &[1.0, 2.0, 0.5]);
+        // degree 30 in 3D needs 93 basis entries: the heap scratch path
+        for degree in [1usize, 3, 4, 30] {
+            let poly = BernsteinApprox::build(&f, &domain, degree);
+            let mut rng = cocktail_math::rng::seeded(11);
+            for _ in 0..50 {
+                let x = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                assert_eq!(
+                    poly.eval(&x).to_bits(),
+                    allocating_eval(&poly, &x).to_bits(),
+                    "degree {degree} at {x:?}"
+                );
+            }
+        }
+        // a degenerate dimension maps to unit coordinate 0 on both paths
+        let flat = BoxRegion::from_bounds(&[-1.0, 0.5, 0.0], &[1.0, 0.5, 0.5]);
+        let poly = BernsteinApprox::build(&f, &flat, 4);
+        let x = [0.37, 0.5, 0.11];
+        assert_eq!(
+            poly.eval(&x).to_bits(),
+            allocating_eval(&poly, &x).to_bits()
+        );
+    }
+
+    #[test]
+    fn piece_queries_use_the_closed_overlap_rule() {
+        let net = small_net(5);
+        let domain = BoxRegion::cube(2, -1.0, 1.0);
+        let cert = BernsteinCertificate::build(
+            &net,
+            &[5.0],
+            &domain,
+            &CertificateConfig {
+                tolerance: 0.35,
+                ..Default::default()
+            },
+        )
+        .expect("fits");
+        let mut rng = cocktail_math::rng::seeded(4);
+        let mut queries: Vec<BoxRegion> = (0..40)
+            .map(|_| {
+                let a = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                let b = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                BoxRegion::from_bounds(
+                    &[a[0].min(b[0]), a[1].min(b[1])],
+                    &[a[0].max(b[0]), a[1].max(b[1])],
+                )
+            })
+            .collect();
+        // a degenerate box on a piece boundary touches both neighbours
+        queries.push(BoxRegion::from_bounds(&[0.0, -1.0], &[0.0, 1.0]));
+        for q in &queries {
+            let fast: Vec<_> = cert.pieces_covering(q).map(|p| &p.region).collect();
+            let reference: Vec<_> = cert
+                .pieces
+                .iter()
+                .filter(|p| p.region.intersect(q).is_some())
+                .map(|p| &p.region)
+                .collect();
+            assert_eq!(fast, reference, "query {q}");
         }
     }
 

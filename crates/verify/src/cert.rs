@@ -20,7 +20,7 @@
 use crate::bernstein::{BernsteinCertificate, CertificateConfig};
 use crate::error::VerifyError;
 use crate::invariant::{invariant_set_with_workers, InvariantConfig};
-use crate::reach::{reach_analysis, ReachConfig, ReachMode};
+use crate::reach::{reach_analysis_with_workers, ReachConfig, ReachMode};
 use crate::report::SafetyVerdict;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
@@ -395,8 +395,7 @@ impl SafetyCert {
     }
 }
 
-/// Relative closeness with an absolute floor, the same contract as the
-/// fast-tier certificate comparison.
+/// Relative closeness with an absolute floor; `tol = 0` demands equality.
 fn close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-300)
 }
@@ -470,7 +469,7 @@ pub fn certify_controller(
 
     let reach = {
         let _span = Span::enter(tel, "verify/reach");
-        reach_analysis(sys, &cert, &params.initial_set, &params.reach)
+        reach_analysis_with_workers(sys, &cert, &params.initial_set, &params.reach, workers)
     };
     let reach = match reach {
         Ok(r) => r,

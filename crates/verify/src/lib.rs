@@ -69,5 +69,5 @@ pub use invariant::{invariant_set, invariant_set_with_workers, InvariantConfig, 
 pub use lyapunov::{
     solve_discrete_lyapunov, verify_ellipsoid_invariant, EllipsoidCheck, QuadraticForm,
 };
-pub use reach::{reach_analysis, ReachConfig, ReachMode, ReachResult};
+pub use reach::{reach_analysis, reach_analysis_with_workers, ReachConfig, ReachMode, ReachResult};
 pub use report::{certify_safety, SafetyReport, SafetyVerdict};

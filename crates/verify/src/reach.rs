@@ -215,6 +215,34 @@ pub fn reach_analysis(
     x0: &BoxRegion,
     config: &ReachConfig,
 ) -> Result<ReachResult, VerifyError> {
+    reach_analysis_with_workers(
+        sys,
+        controller,
+        x0,
+        config,
+        cocktail_math::parallel::default_workers(),
+    )
+}
+
+/// [`reach_analysis`] with an explicit worker count. In
+/// [`ReachMode::GridPaving`] each step's per-cell one-step images fan out
+/// over `workers` threads and are then marked in cell order, so the result
+/// is bit-identical for every `workers >= 1`.
+///
+/// # Errors
+///
+/// See [`reach_analysis`].
+///
+/// # Panics
+///
+/// See [`reach_analysis`].
+pub fn reach_analysis_with_workers(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    x0: &BoxRegion,
+    config: &ReachConfig,
+    workers: usize,
+) -> Result<ReachResult, VerifyError> {
     assert_eq!(x0.dim(), sys.state_dim(), "initial box dimension mismatch");
     assert_eq!(
         controller.state_dim(),
@@ -255,18 +283,23 @@ pub fn reach_analysis(
                 budget: config.max_boxes,
             });
         }
+        // per-cell images are pure; compute them in parallel, mark in order
+        let cells: Vec<usize> = occupied.iter().copied().collect();
+        let images: Vec<BoxRegion> =
+            cocktail_math::parallel::map_indexed_with_workers(&cells, workers, |_, &flat| {
+                let cell = grid.cell_box(&grid.unflat(flat));
+                let u: Vec<Interval> = controller
+                    .enclose(&cell)
+                    .into_iter()
+                    .zip(u_lo.iter().zip(&u_hi))
+                    .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
+                    .collect();
+                BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega))
+            });
         let mut next = BTreeSet::new();
         let mut any_inside = false;
-        for &flat in &occupied {
-            let cell = grid.cell_box(&grid.unflat(flat));
-            let u: Vec<Interval> = controller
-                .enclose(&cell)
-                .into_iter()
-                .zip(u_lo.iter().zip(&u_hi))
-                .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
-                .collect();
-            let image = BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega));
-            match grid.overlap_ranges(&image) {
+        for image in &images {
+            match grid.overlap_ranges(image) {
                 None => {
                     verified_safe = false;
                     if config.fail_on_unsafe {
@@ -645,6 +678,30 @@ mod tests {
                 let u = sys.clip_control(&controller.control(&s));
                 s = sys.step(&s, &u, &[]);
             }
+        }
+    }
+
+    #[test]
+    fn worker_count_does_not_change_the_paving() {
+        let sys = VanDerPol::new();
+        let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![3.0, 3.0]]));
+        let x0 = BoxRegion::from_bounds(&[-0.5, -0.5], &[0.5, 0.5]);
+        let config = ReachConfig {
+            steps: 8,
+            split_width: 0.05,
+            ..Default::default()
+        };
+        let reference = reach_analysis_with_workers(&sys, &enc, &x0, &config, 1).expect("reaches");
+        assert!(
+            reference.peak_boxes > 16,
+            "enough cells to split across workers"
+        );
+        for workers in [2usize, 8] {
+            let got =
+                reach_analysis_with_workers(&sys, &enc, &x0, &config, workers).expect("reaches");
+            assert_eq!(got.frames, reference.frames, "workers = {workers}");
+            assert_eq!(got.verified_safe, reference.verified_safe);
+            assert_eq!(got.peak_boxes, reference.peak_boxes);
         }
     }
 
